@@ -23,15 +23,12 @@ import numpy as np
 from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 from .errors import (
-    CertificateError,
     GraphDisconnected,
     NonPositiveScale,
     NotQuasiConvexAtScale,
 )
 from .nets import Net, greedy_separated_net
-from .space import FiniteMetricSpace
-
-CERT_TOL = 1e-9
+from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, check_bounds
 
 
 @dataclass(frozen=True)
@@ -126,13 +123,13 @@ def convexity_constants(
             a = max(float(slopes.max()), 1.0)
         else:
             a = 1.0
-        if frontier and frontier[-1].a <= a + CERT_TOL:
+        if frontier and frontier[-1].a <= a + DEFAULT_TOLERANCE:
             continue
         defect = float((cm.table - (a * space.dist + b)).max())
-        if defect > CERT_TOL:
-            raise CertificateError(
-                f"constants (a={a}, b={b}) fail certification by {defect:g}"
-            )
+        check_bounds(
+            f"constants (a={a}, b={b}) fail certification by {defect:g}",
+            {"defect": (0.0, defect)},
+        )
         frontier.append(ConvexityConstants(a=a, b=b, c=float(c)))
     return frontier
 
@@ -220,10 +217,11 @@ def build_geodesic_graph(
         "n_vertices": int(len(members)),
         "n_edges": len(edges),
     }
-    if upper_defect > CERT_TOL or lower_defect > CERT_TOL:
-        raise CertificateError(
-            "geodesic skeleton violates the comparison bounds", **report
-        )
+    check_bounds(
+        "geodesic skeleton violates the comparison bounds",
+        {"upper_defect": (0.0, upper_defect), "lower_defect": (0.0, lower_defect)},
+        **report,
+    )
     graph = GeodesicGraph(vertices=net, edges=edges, hop=hop, c=float(c))
     return graph, report
 

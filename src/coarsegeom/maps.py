@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,9 +32,7 @@ from .errors import (
     TooLarge,
 )
 from .nets import Net, greedy_separated_net, net_from_members
-from .space import FiniteMetricSpace, cover_radius_of
-
-CERT_TOL = 1e-9
+from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, check_bounds, cover_witness
 
 # factorial enumeration stays sub-second up to here
 BRUTEFORCE_CAP = 8
@@ -52,6 +50,23 @@ def _mapping_array(space: FiniteMetricSpace, mapping: Sequence[int]) -> np.ndarr
     return arr
 
 
+def _max_gap(
+    n: int, block: Callable[[int, int], np.ndarray]
+) -> tuple[float, tuple[int, int]]:
+    """Max entry of an n x n gap table with its (row, column), built and
+    scanned ``_CHUNK`` rows at a time by ``block(lo, hi)``."""
+    worst = -math.inf
+    witness = (0, 0)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        gap = block(lo, hi)
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        if gap[i, j] > worst:
+            worst = float(gap[i, j])
+            witness = (lo + int(i), int(j))
+    return worst, witness
+
+
 def additive_slack(
     dom: FiniteMetricSpace,
     rng: FiniteMetricSpace,
@@ -64,16 +79,9 @@ def additive_slack(
     (lam, c) a valid large-scale Lipschitz distortion of ``mapping``.
     """
     m = _mapping_array(dom, mapping)
-    worst = -math.inf
-    witness = (0, 0)
-    for lo in range(0, dom.n, _CHUNK):
-        hi = min(lo + _CHUNK, dom.n)
-        gap = rng.dist[np.ix_(m[lo:hi], m)] - lam * dom.dist[lo:hi]
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if gap[i, j] > worst:
-            worst = float(gap[i, j])
-            witness = (lo + int(i), int(j))
-    return worst, witness
+    return _max_gap(
+        dom.n, lambda lo, hi: rng.dist[np.ix_(m[lo:hi], m)] - lam * dom.dist[lo:hi]
+    )
 
 
 def displacement(
@@ -119,13 +127,13 @@ def large_scale_map(
 ) -> LargeScaleMap:
     """Build a LargeScaleMap, certifying the claimed (lam, c) exhaustively."""
     slack, (x, y) = additive_slack(dom, rng, mapping, lam)
-    if slack > c + CERT_TOL:
-        raise CertificateError(
-            f"claimed (lambda={lam}, c={c}) fails at pair ({x},{y}): "
-            f"needs c >= {slack:g}",
-            pair=[x, y],
-            required_c=slack,
-        )
+    check_bounds(
+        f"claimed (lambda={lam}, c={c}) fails at pair ({x},{y}): "
+        f"needs c >= {slack:g}",
+        {"c": (c, slack)},
+        pair=[x, y],
+        required_c=slack,
+    )
     return LargeScaleMap(np.asarray(mapping, dtype=np.intp), lam, c)
 
 
@@ -170,19 +178,16 @@ def certify_equivalence(
             "R": measured_R,
         },
     }
-    if slack_f > pair.forward.c + CERT_TOL:
-        raise CertificateError(
-            f"forward map fails (lambda, c) at {wf}", **report["measured"]
-        )
-    if slack_b > pair.backward.c + CERT_TOL:
-        raise CertificateError(
-            f"backward map fails (lambda, c) at {wb}", **report["measured"]
-        )
-    if measured_R > pair.closeness + CERT_TOL:
-        raise CertificateError(
-            f"round trips move points {measured_R:g} > R = {pair.closeness}",
-            **report["measured"],
-        )
+    check_bounds(
+        f"equivalence pair fails its claimed constants "
+        f"(forward witness {wf}, backward witness {wb})",
+        {
+            "forward_slack": (pair.forward.c, slack_f),
+            "backward_slack": (pair.backward.c, slack_b),
+            "R": (pair.closeness, measured_R),
+        },
+        **report["measured"],
+    )
     return report
 
 
@@ -360,9 +365,8 @@ def extend_net_map(
     if not math.isfinite(C):
         raise CertificateError("cannot extend a bijection with infinite distortion")
     for space, net, side in ((dom, f.domain_net, "domain"), (rng, f.range_net, "range")):
-        cover = cover_radius_of(space, net.members)
-        if cover > K + CERT_TOL:
-            worst = int(np.argmax(space.dist[:, net.members].min(axis=1)))
+        cover, worst = cover_witness(space, net.members)
+        if cover > K + DEFAULT_TOLERANCE:
             raise NetCoverViolation(
                 f"{side} net does not cover within K={K}: point {worst} "
                 f"is {cover:g} away",
@@ -389,12 +393,12 @@ def extend_net_map(
 
     claimed = {"lambda": lam, "c": 2.0 * C * K, "R": K}
     measured = {"lambda": lam, "c": c_meas, "R": r_meas}
-    if c_meas > claimed["c"] + CERT_TOL or r_meas > claimed["R"] + CERT_TOL:
-        raise CertificateError(
-            "extension exceeds the (C, 2CK, K) bound",
-            claimed=claimed,
-            measured=measured,
-        )
+    check_bounds(
+        "extension exceeds the (C, 2CK, K) bound",
+        {"c": (claimed["c"], c_meas), "R": (claimed["R"], r_meas)},
+        claimed=claimed,
+        measured=measured,
+    )
     pair = EquivalencePair(
         forward=LargeScaleMap(phi, lam, c_meas),
         backward=LargeScaleMap(psi, lam, c_meas),
@@ -440,15 +444,9 @@ def restrict_equivalence(
     claimed_C = lam * (1.0 + (2.0 * R + c) / epsilon)
 
     # max over pairs of d(x,y) - lam*d'(phi x, phi y); must stay <= 2R + c
-    eq_slack = -math.inf
-    eq_witness = (0, 0)
-    for lo in range(0, dom.n, _CHUNK):
-        hi = min(lo + _CHUNK, dom.n)
-        gap = dom.dist[lo:hi] - lam * rng.dist[np.ix_(phi[lo:hi], phi)]
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if gap[i, j] > eq_slack:
-            eq_slack = float(gap[i, j])
-            eq_witness = (lo + int(i), int(j))
+    eq_slack, eq_witness = _max_gap(
+        dom.n, lambda lo, hi: dom.dist[lo:hi] - lam * rng.dist[np.ix_(phi[lo:hi], phi)]
+    )
 
     range_net = net_from_members(rng, image, claimed_radius)
     measured_radius = range_net.cover_radius
@@ -466,18 +464,15 @@ def restrict_equivalence(
             "eq_slack": max(eq_slack, 0.0),
         },
     }
-    failures = []
-    if measured_radius > claimed_radius + CERT_TOL:
-        failures.append("range net cover radius")
-    if bijection.measured_C > claimed_C + CERT_TOL:
-        failures.append("bi-Lipschitz constant")
-    if eq_slack > 2.0 * R + c + CERT_TOL:
-        failures.append(f"pairwise inequality at {eq_witness}")
-    if failures:
-        raise CertificateError(
-            "restriction exceeds its claimed bounds: " + ", ".join(failures),
-            **report,
-        )
+    check_bounds(
+        f"restriction exceeds its claimed bounds (worst pair {eq_witness})",
+        {
+            "range_cover": (claimed_radius, measured_radius),
+            "C": (claimed_C, bijection.measured_C),
+            "eq_slack": (2.0 * R + c, eq_slack),
+        },
+        **report,
+    )
     return bijection, report
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IncompleteCover, NotANet, NotSeparated
-from .space import FiniteMetricSpace, cover_radius_of, separation_of
+from .space import FiniteMetricSpace, cover_radius_of, cover_witness, separation_of
 
 
 def _as_order(space: FiniteMetricSpace, order: Sequence[int] | None) -> np.ndarray:
@@ -26,6 +26,18 @@ def _as_order(space: FiniteMetricSpace, order: Sequence[int] | None) -> np.ndarr
     if sorted(arr.tolist()) != list(range(space.n)):
         raise ValueError("order must be a permutation of all point ids")
     return arr
+
+
+def _greedy_scan(space: FiniteMetricSpace, scan: np.ndarray, K: float) -> np.ndarray:
+    """Admit each point of ``scan`` iff it lies strictly more than K from
+    every point admitted before it."""
+    min_dist = np.full(space.n, np.inf)
+    admitted: list[int] = []
+    for x in scan:
+        if min_dist[x] > K:
+            admitted.append(int(x))
+            np.minimum(min_dist, space.dist[x], out=min_dist)
+    return np.array(admitted, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -66,9 +78,6 @@ class BorelPartition:
     K: float
     enumeration_order: np.ndarray
 
-    def members(self) -> np.ndarray:
-        return self.enumeration_order
-
     def cell_index(self, n_points: int) -> np.ndarray:
         """Array mapping each point to the member owning its cell."""
         owner = np.full(n_points, -1, dtype=np.intp)
@@ -108,14 +117,7 @@ def greedy_separated_net(
     """
     if K <= 0:
         raise ValueError(f"net scale K must be > 0, got {K}")
-    scan = _as_order(space, order)
-    min_dist = np.full(space.n, np.inf)
-    admitted: list[int] = []
-    for x in scan:
-        if min_dist[x] > K:
-            admitted.append(int(x))
-            np.minimum(min_dist, space.dist[x], out=min_dist)
-    return net_from_members(space, np.array(admitted, dtype=np.intp), K)
+    return net_from_members(space, _greedy_scan(space, _as_order(space, order), K), K)
 
 
 def refine_net(space: FiniteMetricSpace, net: Net, K: float) -> Net:
@@ -127,22 +129,14 @@ def refine_net(space: FiniteMetricSpace, net: Net, K: float) -> Net:
     """
     if K <= 0:
         raise ValueError(f"net scale K must be > 0, got {K}")
-    members = net.members
-    if cover_radius_of(space, members) > K:
-        worst = int(np.argmax(space.dist[:, members].min(axis=1)))
+    cover, worst = cover_witness(space, net.members)
+    if cover > K:
         raise NotANet(
-            f"input is not a {K}-net: point {worst} is "
-            f"{space.dist[worst, members].min():g} from it",
+            f"input is not a {K}-net: point {worst} is {cover:g} from it",
             K=K,
             witness=worst,
         )
-    min_dist = np.full(space.n, np.inf)
-    kept: list[int] = []
-    for x in members:
-        if min_dist[x] > K:
-            kept.append(int(x))
-            np.minimum(min_dist, space.dist[x], out=min_dist)
-    return net_from_members(space, np.array(kept, dtype=np.intp), 2.0 * K)
+    return net_from_members(space, _greedy_scan(space, net.members, K), 2.0 * K)
 
 
 def borel_partition(

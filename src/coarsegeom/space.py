@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import (
     AsymmetryError,
+    CertificateError,
     DiagonalError,
     NegativeEntryError,
     NonFiniteCoordinate,
@@ -53,6 +54,27 @@ def check_tolerance(tolerance) -> float:
     return value
 
 
+def check_bounds(
+    message: str, bounds: Mapping[str, tuple[float, float]], **payload
+) -> None:
+    """Certify measured <= claimed + DEFAULT_TOLERANCE for each named
+    (claimed, measured) pair in ``bounds``: the one comparison every
+    certificate makes. On failure raise ``CertificateError`` naming the
+    failed bounds, with ``payload`` and, unless it has its own, the
+    claimed and measured values."""
+    failed = [
+        name for name, (claimed, measured) in bounds.items()
+        if not measured <= claimed + DEFAULT_TOLERANCE
+    ]
+    if failed:
+        raise CertificateError(f"{message}: {', '.join(failed)}", **{
+            "claimed": {name: claimed for name, (claimed, _) in bounds.items()},
+            "measured": {name: measured for name, (_, measured) in bounds.items()},
+            **payload,
+            "failed": failed,
+        })
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """A finite pseudo-metric space backed by a full distance table."""
@@ -79,15 +101,8 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
 
-    def points(self) -> np.ndarray:
-        return np.arange(self.n)
-
     def label_of(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
-
-    def submatrix(self, members: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(members, dtype=np.intp)
-        return self.dist[np.ix_(idx, idx)]
 
 
 @dataclass(frozen=True)
@@ -269,12 +284,19 @@ def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
     return float(sub[off].min())
 
 
-def cover_radius_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
-    """Max over all points of the distance to the nearest member."""
+def cover_witness(space: FiniteMetricSpace, members: Sequence[int]) -> tuple[float, int]:
+    """The cover radius of ``members`` and the lowest point attaining it."""
     idx = np.asarray(members, dtype=np.intp)
     if idx.size == 0:
         raise TooFewPoints("cover radius of an empty set", size=0)
-    return float(space.dist[:, idx].min(axis=1).max())
+    gaps = space.dist[:, idx].min(axis=1)
+    worst = int(np.argmax(gaps))
+    return float(gaps[worst]), worst
+
+
+def cover_radius_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
+    """Max over all points of the distance to the nearest member."""
+    return cover_witness(space, members)[0]
 
 
 # --- file interfaces ---
