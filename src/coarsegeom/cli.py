@@ -32,6 +32,7 @@ from .higson import BoundedFunction, bump_function, decay_profile, expansion, pa
 from .maps import (
     EquivalencePair,
     LargeScaleMap,
+    certify_equivalence,
     closeness_gap,
     expansiveness_profile,
     extend_net_map,
@@ -41,7 +42,13 @@ from .maps import (
     properness_profile,
     restrict_equivalence,
 )
-from .nets import BorelPartition, borel_partition, greedy_separated_net, net_from_members, refine_net
+from .nets import (
+    borel_partition,
+    greedy_separated_net,
+    net_from_members,
+    partition_from_cells,
+    refine_net,
+)
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
@@ -106,23 +113,21 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_function(path: str, expected: int | None = None) -> BoundedFunction:
-    """One row per point: value or (re, im); non-numeric first row skipped."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if rows:
-        try:
-            [float(tok) for tok in rows[0]]
-        except ValueError:
-            rows = rows[1:]
-    values = []
-    for row in rows:
-        re_part = float(row[0])
-        im_part = float(row[1]) if len(row) > 1 else 0.0
-        values.append(complex(re_part, im_part))
-    if expected is not None and len(values) != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {len(values)}")
-    return BoundedFunction(np.array(values))
+def _load_function(path: str, expected: int) -> BoundedFunction:
+    """One row per point: ``re``, ``re,im``, or ``point,re,im`` as
+    ``bump``/``pextend --format csv`` write it, with ids 0..n-1 in order;
+    a non-numeric first row is skipped."""
+    table = load_point_cloud_csv(path)
+    if table.ndim != 2 or table.shape[1] > 3:
+        raise ValueError(f"{path}: expected rows of re, re,im or point,re,im")
+    if table.shape[1] == 3:
+        if not np.array_equal(table[:, 0], np.arange(len(table))):
+            raise ValueError(f"{path}: point ids must be 0..{len(table) - 1} in order")
+        table = table[:, 1:]
+    if len(table) != expected:
+        raise ValueError(f"{path}: expected {expected} values, found {len(table)}")
+    im_part = table[:, 1] if table.shape[1] == 2 else 0.0
+    return BoundedFunction(table[:, 0] + 1j * im_part)
 
 
 def _order_from_seed(n: int, seed: int | None) -> np.ndarray | None:
@@ -131,11 +136,18 @@ def _order_from_seed(n: int, seed: int | None) -> np.ndarray | None:
     return np.random.default_rng(seed).permutation(n)
 
 
+def _unwrap(blob, key: str):
+    """The inner object of a ``{key: ..., "certificate": ...}`` report
+    that ``extend``/``restrict`` write; a bare object is returned as is."""
+    return blob[key] if isinstance(blob, dict) and key in blob else blob
+
+
 def _net_from_json(space: FiniteMetricSpace, blob: dict):
     return net_from_members(space, blob["members"], float(blob["K"]))
 
 
 def _bijection_from_json(dom, rng, blob: dict):
+    blob = _unwrap(blob, "bijection")
     domain_net = _net_from_json(dom, blob["domain_net"])
     range_net = _net_from_json(rng, blob["range_net"])
     return make_net_bijection(
@@ -143,7 +155,10 @@ def _bijection_from_json(dom, rng, blob: dict):
     )
 
 
-def _pair_from_json(blob: dict) -> EquivalencePair:
+def _pair_from_json(dom, rng, blob: dict) -> EquivalencePair:
+    """The pair of a pair JSON, its claimed (lambda, c, R) re-certified."""
+    blob = _unwrap(blob, "pair")
+
     def lsm(sub: dict) -> LargeScaleMap:
         return LargeScaleMap(
             np.asarray(sub["mapping"], dtype=np.intp),
@@ -151,11 +166,13 @@ def _pair_from_json(blob: dict) -> EquivalencePair:
             float(sub["c"]),
         )
 
-    return EquivalencePair(
+    pair = EquivalencePair(
         forward=lsm(blob["forward"]),
         backward=lsm(blob["backward"]),
         closeness=float(blob["closeness"]),
     )
+    certify_equivalence(dom, rng, pair)
+    return pair
 
 
 def _csv_text(rows: Sequence[Sequence]) -> str:
@@ -232,7 +249,7 @@ def _cmd_partition(args):
 
 def _cmd_distort(args):
     dom, rng = _space_of(args), _space2_of(args)
-    blob = _load_json(args.bijection)
+    blob = _unwrap(_load_json(args.bijection), "bijection")
     report = measure_distortion(dom, rng, blob["domain_net"]["members"], blob["image"])
     _emit(args, report.to_dict())
 
@@ -246,7 +263,7 @@ def _cmd_extend(args):
 
 def _cmd_restrict(args):
     dom, rng = _space_of(args), _space2_of(args)
-    pair = _pair_from_json(_load_json(args.pair))
+    pair = _pair_from_json(dom, rng, _load_json(args.pair))
     order = _order_from_seed(dom.n, args.order_seed)
     bijection, certificate = restrict_equivalence(dom, rng, pair, args.epsilon, order)
     _emit(args, {"bijection": bijection.to_dict(),
@@ -342,10 +359,8 @@ def _cmd_bump(args):
 def _cmd_pextend(args):
     space = _space_of(args)
     blob = _load_json(args.partition)
-    part = BorelPartition(
-        cells={int(k): np.asarray(v, dtype=np.intp) for k, v in blob["cells"].items()},
-        K=float(blob["K"]),
-        enumeration_order=np.asarray(blob["enumeration_order"], dtype=np.intp),
+    part = partition_from_cells(
+        space, blob["cells"], float(blob["K"]), blob["enumeration_order"]
     )
     f = _load_function(args.values, len(part.enumeration_order))
     extended = partition_extend(space, part, f)

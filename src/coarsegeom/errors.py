@@ -55,6 +55,10 @@ class TooFewPoints(CoarseGeomError):
     pass
 
 
+class UnknownPoint(CoarseGeomError):
+    """A point id from outside is not one of the space's 0..n-1."""
+
+
 # --- nets and partitions ---
 
 class NotANet(CoarseGeomError):
@@ -71,6 +75,10 @@ class IncompleteCover(CoarseGeomError):
 
 class PartitionGap(CoarseGeomError):
     pass
+
+
+class InvalidPartition(CoarseGeomError):
+    """Cells given from outside overlap, miss their member, or leave its K-ball."""
 
 
 # --- maps ---

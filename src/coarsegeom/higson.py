@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyTail, OverlappingBalls, PartitionGap
 from .nets import BorelPartition
-from .space import FiniteMetricSpace
+from .space import FiniteMetricSpace, check_point_ids
 
 _CHUNK = 256
 
@@ -121,6 +121,7 @@ def decay_profile(
     field_cache: ExpansionField | None = None,
 ) -> DecayProfile:
     """Suprema of grad_r f over the tails {x : d(x, base) >= rho}."""
+    check_point_ids(space, base)
     if rho_grid is None:
         ecc = float(space.dist[base].max())
         rho_grid = [ecc * t for t in (0.0, 0.25, 0.5, 0.75, 0.9)]
@@ -156,7 +157,7 @@ def bump_function(
     it (nondecreasing distance), matching the escaping-sequence shape
     of the construction.
     """
-    ctr = np.asarray(centers, dtype=np.intp)
+    ctr = check_point_ids(space, centers)
     rad = np.asarray(radii, dtype=np.float64)
     if ctr.size != rad.size:
         raise ValueError(f"{ctr.size} centers for {rad.size} radii")
@@ -167,7 +168,7 @@ def bump_function(
     if (np.diff(rad) < 0).any():
         raise ValueError("radii must be nondecreasing")
     if base is not None:
-        gaps = space.dist[base, ctr]
+        gaps = space.dist[check_point_ids(space, base), ctr]
         if (np.diff(gaps) < 0).any():
             raise ValueError(
                 "centers must be ordered by nondecreasing distance from the base"

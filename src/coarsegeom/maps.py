@@ -32,7 +32,13 @@ from .errors import (
     TooLarge,
 )
 from .nets import Net, greedy_separated_net, net_from_members
-from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, check_bounds, cover_witness
+from .space import (
+    DEFAULT_TOLERANCE,
+    FiniteMetricSpace,
+    check_bounds,
+    check_point_ids,
+    cover_witness,
+)
 
 # factorial enumeration stays sub-second up to here
 BRUTEFORCE_CAP = 8
@@ -78,7 +84,7 @@ def additive_slack(
     The result (clamped at 0) is the least additive constant c making
     (lam, c) a valid large-scale Lipschitz distortion of ``mapping``.
     """
-    m = _mapping_array(dom, mapping)
+    m = check_point_ids(rng, _mapping_array(dom, mapping))
     return _max_gap(
         dom.n, lambda lo, hi: rng.dist[np.ix_(m[lo:hi], m)] - lam * dom.dist[lo:hi]
     )

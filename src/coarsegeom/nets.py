@@ -11,12 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IncompleteCover, NotANet, NotSeparated
-from .space import FiniteMetricSpace, cover_radius_of, cover_witness, separation_of
+from .errors import (
+    IncompleteCover,
+    InvalidPartition,
+    NotANet,
+    NotSeparated,
+    PartitionGap,
+)
+from .space import (
+    FiniteMetricSpace,
+    check_point_ids,
+    cover_radius_of,
+    cover_witness,
+    separation_of,
+)
 
 
 def _as_order(space: FiniteMetricSpace, order: Sequence[int] | None) -> np.ndarray:
@@ -97,7 +109,7 @@ def net_from_members(
     space: FiniteMetricSpace, members: Sequence[int], K: float
 ) -> Net:
     """Wrap an explicit member set as a Net, measuring delta and cover."""
-    arr = np.asarray(members, dtype=np.intp)
+    arr = check_point_ids(space, members)
     delta = separation_of(space, arr) if arr.size >= 2 else math.inf
     cover = cover_radius_of(space, arr)
     return Net(members=arr, K=float(K), delta=delta, cover_radius=cover)
@@ -137,6 +149,52 @@ def refine_net(space: FiniteMetricSpace, net: Net, K: float) -> Net:
             witness=worst,
         )
     return net_from_members(space, _greedy_scan(space, net.members, K), 2.0 * K)
+
+
+def partition_from_cells(
+    space: FiniteMetricSpace,
+    cells: Mapping[int, Sequence[int]],
+    K: float,
+    enumeration_order: Sequence[int],
+) -> BorelPartition:
+    """Check cells given from outside and wrap them as a BorelPartition.
+
+    ``enumeration_order`` must list exactly the members (the keys of
+    ``cells``). Each cell must contain its member and lie within K of
+    it, and every point must lie in exactly one cell; a violation
+    raises, naming a witness point.
+    """
+    checked = {int(x): check_point_ids(space, cell) for x, cell in cells.items()}
+    enum = check_point_ids(space, enumeration_order)
+    if sorted(enum.tolist()) != sorted(checked):
+        raise ValueError("enumeration order must list exactly the cell members")
+    for x in enum.tolist():
+        cell = checked[x]
+        if x not in cell:
+            raise InvalidPartition(
+                f"the cell of member {x} does not contain it", member=x
+            )
+        far = cell[space.dist[x, cell] > K]
+        if far.size:
+            raise InvalidPartition(
+                f"point {far[0]} of the cell of member {x} is "
+                f"{space.dist[x, far[0]]:g} > K = {K} from it",
+                member=x,
+                witness=int(far[0]),
+            )
+    counts = np.bincount(
+        np.concatenate([np.empty(0, np.intp), *checked.values()]), minlength=space.n
+    )
+    if (counts > 1).any():
+        p = int(np.argmax(counts > 1))
+        owners = [x for x in enum.tolist() if p in checked[x]]
+        raise InvalidPartition(
+            f"point {p} lies in the cells of {owners}", witness=p, cells=owners
+        )
+    if (counts == 0).any():
+        p = int(np.argmax(counts == 0))
+        raise PartitionGap(f"point {p} lies in no cell", witness=p)
+    return BorelPartition(cells=checked, K=float(K), enumeration_order=enum)
 
 
 def borel_partition(

@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteEntry,
     TooFewPoints,
     TriangleError,
+    UnknownPoint,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -52,6 +53,21 @@ def check_tolerance(tolerance) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     return value
+
+
+def check_point_ids(space: FiniteMetricSpace, ids) -> np.ndarray:
+    """Return ``ids`` (one id or many) as intp if each names a point of
+    ``space``; else raise ``UnknownPoint`` naming the first bad id and n,
+    so that a negative id never wraps and a large one never escapes as
+    an ``IndexError``."""
+    arr = np.asarray(ids, dtype=np.intp)
+    bad = arr[(arr < 0) | (arr >= space.n)]
+    if bad.size:
+        x = int(bad.flat[0])
+        raise UnknownPoint(
+            f"point id {x} is not in a space of {space.n} points", id=x, n=space.n
+        )
+    return arr
 
 
 def check_bounds(
@@ -269,7 +285,7 @@ def closed_ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:
     """Indices of the closed ball {y : d(x,y) <= radius}, sorted."""
     if radius < 0:
         raise ValueError(f"ball radius must be >= 0, got {radius}")
-    return np.flatnonzero(space.dist[x] <= radius)
+    return np.flatnonzero(space.dist[check_point_ids(space, x)] <= radius)
 
 
 def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:

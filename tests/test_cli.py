@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,17 +12,38 @@ import coarsegeom as cg
 from coarsegeom import cli
 
 
-def run_cli(*argv, check=True):
-    result = subprocess.run(
-        [sys.executable, "-m", "coarsegeom.cli", *map(str, argv)],
-        capture_output=True,
-        text=True,
-    )
+def _checked(result, check):
     if check and result.returncode != 0:
         raise AssertionError(
             f"cli failed ({result.returncode}): {result.stderr}"
         )
     return result
+
+
+def run_cli(*argv, check=True):
+    """Run ``cli.main`` in this process, capturing what ``python -m
+    coarsegeom.cli`` would print and its exit code."""
+    args = [str(a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return _checked(
+        subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue()), check
+    )
+
+
+def run_cli_subprocess(*argv, check=True, env=None):
+    """Run ``python -m coarsegeom.cli`` in a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-m", "coarsegeom.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return _checked(result, check)
 
 
 @pytest.fixture
@@ -49,8 +72,8 @@ def test_net_matches_library_and_spec(line10_csv):
 
 
 def test_output_bytes_deterministic(line10_csv):
-    first = run_cli("net", "--input", line10_csv, "--K", 2, "--order-seed", 11)
-    second = run_cli("net", "--input", line10_csv, "--K", 2, "--order-seed", 11)
+    first = run_cli_subprocess("net", "--input", line10_csv, "--K", 2, "--order-seed", 11)
+    second = run_cli_subprocess("net", "--input", line10_csv, "--K", 2, "--order-seed", 11)
     assert first.stdout == second.stdout
 
 
@@ -255,11 +278,10 @@ def test_point_cloud_inputs(tmp_path):
 def test_tolerance_env_var(tmp_path):
     path = tmp_path / "asym.csv"
     path.write_text("0,1.000001\n1,0\n")
-    strict = run_cli("validate", "--input", path, check=False)
+    strict = run_cli_subprocess("validate", "--input", path, check=False)
     assert strict.returncode == 2
-    loose = subprocess.run(
-        [sys.executable, "-m", "coarsegeom.cli", "validate", "--input", str(path)],
-        capture_output=True, text=True,
+    loose = run_cli_subprocess(
+        "validate", "--input", path, check=False,
         env={**os.environ, "COARSEGEOM_TOLERANCE": "0.01"},
     )
     assert loose.returncode == 0
@@ -295,3 +317,112 @@ def test_demo_n2n3_small():
     assert blob["nondecreasing"] is True
     assert all(entry["distance_decreasing"] for entry in blob["cubes_to_squares"])
     assert [k for k, _ in blob["C_star"]] == [2, 3, 4]
+
+
+def test_function_csv_round_trip(line10_csv, tmp_path):
+    # bump and pextend write point,re,im; expansion and decay read it back
+    bump_path = tmp_path / "bump.csv"
+    run_cli("bump", "--input", line10_csv, "--centers", 2, "--radii", 2,
+            "--format", "csv", "--output", bump_path)
+    line = cg.line_space(10)
+    bump = cg.bump_function(line, [2], [2.0])
+    got = json.loads(run_cli(
+        "expansion", "--input", line10_csv, "--fn", bump_path, "--r", 1).stdout)
+    assert got["values"] == cg.expansion(line, bump, 1.0).values.tolist()
+    assert max(got["values"]) <= 0.5
+
+    net_path, part_path = tmp_path / "net.json", tmp_path / "part.json"
+    run_cli("net", "--input", line10_csv, "--K", 2, "--output", net_path)
+    run_cli("partition", "--input", line10_csv, "--net", net_path, "--K", 2,
+            "--output", part_path)
+    values_path, pext_path = tmp_path / "values.csv", tmp_path / "pext.csv"
+    values_path.write_text("0\n3\n6\n9\n")
+    run_cli("pextend", "--input", line10_csv, "--partition", part_path,
+            "--values", values_path, "--format", "csv", "--output", pext_path)
+    decay = json.loads(run_cli(
+        "decay", "--input", line10_csv, "--fn", pext_path, "--r", 1,
+        "--base", 0, "--grid", "0,4,8").stdout)
+    extended = cg.BoundedFunction(np.array([0, 0, 0, 3, 3, 3, 6, 6, 6, 9], float))
+    expected = cg.decay_profile(line, extended, 1.0, 0, [0.0, 4.0, 8.0])
+    assert decay["samples"] == [[rho, s] for rho, s in expected.samples]
+
+    # three columns are point,re,im: ids out of order are refused
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("point,re,im\n" + "".join(
+        f"{i},0.0,0.0\n" for i in [1, 0, *range(2, 10)]))
+    result = run_cli("expansion", "--input", line10_csv, "--fn", shuffled,
+                     "--r", 1, check=False)
+    assert result.returncode == 64
+
+
+def test_cli_reads_its_own_json(line10_csv, tmp_path):
+    bij_path = tmp_path / "bij.json"
+    bij_path.write_text(json.dumps({
+        "domain_net": {"members": [0, 3, 6, 9], "K": 2.0},
+        "range_net": {"members": [0, 3, 6, 9], "K": 2.0},
+        "image": [0, 3, 6, 9],
+    }))
+    spaces = ("--input", line10_csv, "--input2", line10_csv)
+    ext_path, res_path = tmp_path / "ext.json", tmp_path / "res.json"
+    run_cli("extend", *spaces, "--bijection", bij_path, "--output", ext_path)
+    # restrict reads extend's {"pair", "certificate"} output as it is
+    run_cli("restrict", *spaces, "--pair", ext_path, "--epsilon", 1,
+            "--output", res_path)
+    # and extend, distort and closeness read restrict's {"bijection", ...}
+    again = json.loads(run_cli("extend", *spaces, "--bijection", res_path).stdout)
+    assert again["certificate"]["pass"] is True
+    distort = json.loads(run_cli("distort", *spaces, "--bijection", res_path).stdout)
+    assert distort["min_C"] == json.loads(res_path.read_text())["bijection"]["measured_C"]
+    run_cli("closeness", *spaces, "--bijection", res_path, "--bijection2", bij_path,
+            "--r", 9)
+
+    # a pair whose claimed c is false is refused, not trusted
+    pair = json.loads(ext_path.read_text())["pair"]
+    assert pair["forward"]["c"] > 0
+    pair["forward"]["c"] = pair["backward"]["c"] = 0.0
+    lied = tmp_path / "lied.json"
+    lied.write_text(json.dumps(pair))
+    result = run_cli("restrict", *spaces, "--pair", lied, "--epsilon", 1, check=False)
+    assert result.returncode == 2
+    err = json.loads(result.stderr)
+    assert err["error"] == "CertificateError"
+    assert err["failed"] == ["forward_slack", "backward_slack"]
+
+
+def test_point_ids_from_outside_are_checked(line10_csv, tmp_path):
+    bump = run_cli("bump", "--input", line10_csv, "--centers", -1, "--radii", 1,
+                   check=False)
+    assert bump.returncode == 2
+    err = json.loads(bump.stderr)
+    assert (err["error"], err["id"], err["n"]) == ("UnknownPoint", -1, 10)
+
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"members": [0, 42], "K": 4.0}))
+    refine = run_cli("refine", "--input", line10_csv, "--net", net_path, "--K", 4,
+                     check=False)
+    assert refine.returncode == 2
+    assert json.loads(refine.stderr)["id"] == 42
+
+    fn_path = tmp_path / "fn.csv"
+    fn_path.write_text("".join(f"{x}\n" for x in range(10)))
+    decay = run_cli("decay", "--input", line10_csv, "--fn", fn_path, "--r", 1,
+                    "--base", 10, check=False)
+    assert decay.returncode == 2
+    assert json.loads(decay.stderr)["id"] == 10
+
+
+def test_pextend_refuses_overlapping_cells(line10_csv, tmp_path):
+    part_path = tmp_path / "part.json"
+    part_path.write_text(json.dumps({
+        "K": 6.0,
+        "enumeration_order": [0, 3],
+        "cells": {"0": [0, 1, 2, 3, 4], "3": [3, 4, 5, 6, 7, 8, 9]},
+    }))
+    values_path = tmp_path / "values.csv"
+    values_path.write_text("0\n3\n")
+    result = run_cli("pextend", "--input", line10_csv, "--partition", part_path,
+                     "--values", values_path, check=False)
+    assert result.returncode == 2
+    err = json.loads(result.stderr)
+    assert err["error"] == "InvalidPartition"
+    assert err["witness"] == 3 and err["cells"] == [0, 3]

@@ -64,8 +64,12 @@ def test_not_bijective_rejected(line10):
 def test_large_scale_map_factory_certifies(line10):
     lsm = cg.large_scale_map(line10, line10, np.arange(10), 1.0, 0.0)
     assert lsm.lam == 1.0
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError) as err:
         cg.large_scale_map(line10, line10, [0] * 5 + [9] * 5, 1.0, 0.0)
+    payload = err.value.payload
+    assert payload["failed"] == ["c"]
+    assert payload["claimed"] == {"c": 0.0}
+    assert payload["measured"] == {"c": payload["required_c"]} == {"c": 8.0}
 
 
 def test_additive_slack_witness(line10):

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coarsegeom as cg
-from coarsegeom.errors import IncompleteCover, NotANet, NotSeparated
+from coarsegeom.errors import (
+    IncompleteCover,
+    InvalidPartition,
+    NotANet,
+    NotSeparated,
+    PartitionGap,
+    UnknownPoint,
+)
+from coarsegeom.nets import partition_from_cells
 from conftest import diameter_scales, random_space
 
 
@@ -115,6 +123,26 @@ def test_borel_partition_rejects_crowded_members(line10):
     net = cg.net_from_members(line10, [0, 1, 5, 9], 4.0)
     with pytest.raises(NotSeparated):
         cg.borel_partition(line10, net, 4.0)
+
+
+def test_partition_from_cells_accepts_borel_partition(line10):
+    part = cg.borel_partition(line10, cg.greedy_separated_net(line10, 2.0), 2.0)
+    blob = part.to_dict()
+    again = partition_from_cells(line10, blob["cells"], 2.0, blob["enumeration_order"])
+    assert again.to_dict() == blob
+
+
+@pytest.mark.parametrize("cells, K, error, witness", [
+    ({0: [0, 1, 2, 3, 4], 3: [3, 4, 5, 6, 7, 8, 9]}, 6.0, InvalidPartition, 3),
+    ({0: [0, 1, 2, 3, 4], 3: [3, 4, 5, 6, 7, 8, 9]}, 2.0, InvalidPartition, 3),
+    ({0: [1, 2], 3: [0, 3, 4, 5, 6, 7, 8, 9]}, 9.0, InvalidPartition, None),
+    ({0: [0, 1, 2], 3: [3, 4, 5, 6, 7, 8]}, 6.0, PartitionGap, 9),
+    ({0: [0, 1, 2], 3: [3, 4, 12]}, 2.0, UnknownPoint, None),
+])
+def test_partition_from_cells_refuses_bad_cells(line10, cells, K, error, witness):
+    with pytest.raises(error) as err:
+        partition_from_cells(line10, cells, K, list(cells))
+    assert err.value.payload.get("witness") == witness
 
 
 def test_net_json_round_trip(line10):

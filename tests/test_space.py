@@ -10,6 +10,7 @@ from coarsegeom.errors import (
     NonFiniteEntry,
     TooFewPoints,
     TriangleError,
+    UnknownPoint,
 )
 from conftest import random_space
 
@@ -31,6 +32,13 @@ def test_triangle_violation_names_triple():
         cg.from_distance_matrix([[0, 5, 1], [5, 0, 1], [1, 1, 0]])
     assert err.value.payload["triple"] == [0, 2, 1]
     assert err.value.payload["defect"] == 3.0
+
+
+@pytest.mark.parametrize("x", [-1, 10])
+def test_point_ids_must_name_points(x):
+    with pytest.raises(UnknownPoint) as err:
+        cg.closed_ball(cg.line_space(10), x, 1.0)
+    assert err.value.payload == {"id": x, "n": 10}
 
 
 def test_negative_entry_rejected():
