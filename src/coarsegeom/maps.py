@@ -277,8 +277,8 @@ def measure_distortion(
     makes the constant infinite and is reported as degenerate rather
     than raised.
     """
-    a = np.asarray(domain, dtype=np.intp)
-    b = np.asarray(image, dtype=np.intp)
+    a = check_point_ids(dom, domain)
+    b = check_point_ids(rng, image)
     if a.size != b.size:
         raise NotBijective(
             f"pairing sizes differ: {a.size} vs {b.size}", sizes=[int(a.size), int(b.size)]

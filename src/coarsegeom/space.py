@@ -58,12 +58,13 @@ def check_tolerance(tolerance) -> float:
 def check_point_ids(space: FiniteMetricSpace, ids) -> np.ndarray:
     """Return ``ids`` (one id or many) as intp if each names a point of
     ``space``; else raise ``UnknownPoint`` naming the first bad id and n,
-    so that a negative id never wraps and a large one never escapes as
-    an ``IndexError``."""
-    arr = np.asarray(ids, dtype=np.intp)
-    bad = arr[(arr < 0) | (arr >= space.n)]
+    so that a negative id never wraps, a fractional one is never
+    truncated and a large one never escapes as an ``IndexError``."""
+    raw = np.asarray(ids)
+    arr = raw.astype(np.intp)
+    bad = raw[(arr != raw) | (arr < 0) | (arr >= space.n)]
     if bad.size:
-        x = int(bad.flat[0])
+        x = bad.flat[0].item()
         raise UnknownPoint(
             f"point id {x} is not in a space of {space.n} points", id=x, n=space.n
         )

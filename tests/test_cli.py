@@ -402,6 +402,22 @@ def test_point_ids_from_outside_are_checked(line10_csv, tmp_path):
                      check=False)
     assert refine.returncode == 2
     assert json.loads(refine.stderr)["id"] == 42
+    net_path.write_text(json.dumps({"members": [0, 4.7, 9], "K": 3.0}))
+    refine = run_cli("refine", "--input", line10_csv, "--net", net_path, "--K", 3,
+                     check=False)
+    assert refine.returncode == 2
+    assert json.loads(refine.stderr)["id"] == 4.7
+
+    bij_path = tmp_path / "bij.json"
+    bij_path.write_text(json.dumps({
+        "domain_net": {"members": [0, 42], "K": 2.0},
+        "range_net": {"members": [0, 3], "K": 2.0},
+        "image": [0, 3],
+    }))
+    distort = run_cli("distort", "--input", line10_csv, "--input2", line10_csv,
+                      "--bijection", bij_path, check=False)
+    assert distort.returncode == 2
+    assert json.loads(distort.stderr)["id"] == 42
 
     fn_path = tmp_path / "fn.csv"
     fn_path.write_text("".join(f"{x}\n" for x in range(10)))
