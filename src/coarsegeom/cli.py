@@ -3,8 +3,10 @@
 Conventions: results go to stdout (or --output) as JSON, CSV, or DOT;
 structured error JSON goes to stderr. Exit codes: 0 success, 2 for
 validation or precondition failures, 64 for usage errors, 66 for I/O
-errors. The only randomness is the optional --order-seed permutation
-for greedy scans, so identical invocations produce identical bytes.
+errors. Each JSON artifact (net, partition, bijection, pair, mapping)
+has one reader, which checks its keys and value types before use. The
+only randomness is the optional --order-seed permutation for greedy
+scans, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from .convexity import (
     chain_metric,
     convexity_constants,
 )
-from .errors import CoarseGeomError
+from .errors import CoarseGeomError, MalformedInput
 from .higson import BoundedFunction, bump_function, decay_profile, expansion, partition_extend
 from .maps import (
     EquivalencePair,
     LargeScaleMap,
+    NetBijection,
     certify_equivalence,
     closeness_gap,
     expansiveness_profile,
@@ -43,6 +46,8 @@ from .maps import (
     restrict_equivalence,
 )
 from .nets import (
+    BorelPartition,
+    Net,
     borel_partition,
     greedy_separated_net,
     net_from_members,
@@ -52,6 +57,7 @@ from .nets import (
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
+    check_point_ids,
     check_tolerance,
     from_distance_matrix,
     from_point_cloud,
@@ -100,17 +106,15 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _load_space(path: str, points: bool, metric: str, tolerance: float) -> FiniteMetricSpace:
-    if points:
-        return from_point_cloud(load_point_cloud_csv(path), metric)
+def _load_space(args, suffix: str) -> FiniteMetricSpace:
+    """The space that ``--input<suffix>``, ``--points<suffix>`` and
+    ``--metric<suffix>`` name."""
+    path = getattr(args, "input" + suffix)
+    if getattr(args, "points" + suffix):
+        cloud = load_point_cloud_csv(path)
+        return from_point_cloud(cloud, getattr(args, "metric" + suffix))
     table, labels = load_distance_matrix_csv(path)
-    space, _ = from_distance_matrix(table, tolerance, labels)
-    return space
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return from_distance_matrix(table, args.tolerance, labels)[0]
 
 
 def _load_function(path: str, expected: int) -> BoundedFunction:
@@ -136,57 +140,94 @@ def _order_from_seed(n: int, seed: int | None) -> np.ndarray | None:
     return np.random.default_rng(seed).permutation(n)
 
 
-def _unwrap(blob, key: str):
-    """The inner object of a ``{key: ..., "certificate": ...}`` report
-    that ``extend``/``restrict`` write; a bare object is returned as is."""
-    return blob[key] if isinstance(blob, dict) and key in blob else blob
+# the JSON kinds a reader asks for, as json.load gives them; numbers finite
+_KINDS = {
+    "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "array": lambda v: type(v) is list,
+    "object": lambda v: type(v) is dict,
+}
 
 
-def _net_from_json(space: FiniteMetricSpace, blob: dict):
-    return net_from_members(space, blob["members"], float(blob["K"]))
+def _fields(blob, path: str, kinds: dict[str, str], at: str = "") -> list:
+    """The values of ``blob`` at the keys of ``kinds``, in that order, each
+    a JSON value of its kind (numbers as floats; a kind ending in "?" may
+    be absent, giving None), else ``MalformedInput`` naming ``path`` and
+    the keys, written under the key path ``at``."""
+    if type(blob) is not dict:
+        problem, keys = "expected a JSON object with keys", list(kinds)
+    else:
+        problem, keys = "missing keys", [
+            k for k, kind in kinds.items() if k not in blob and not kind.endswith("?")]
+        if not keys:
+            problem, keys = "wrong JSON types at keys", [
+                k for k, kind in kinds.items()
+                if k in blob and not _KINDS[kind.rstrip("?")](blob[k])]
+    if keys:
+        keys = [at + k for k in keys]
+        raise MalformedInput(f"{path}: {problem}: {', '.join(keys)}", file=path, keys=keys)
+    return [float(blob[k]) if kind.startswith("number") and k in blob else blob.get(k)
+            for k, kind in kinds.items()]
 
 
-def _bijection_from_json(dom, rng, blob: dict):
-    blob = _unwrap(blob, "bijection")
-    domain_net = _net_from_json(dom, blob["domain_net"])
-    range_net = _net_from_json(rng, blob["range_net"])
-    return make_net_bijection(
-        dom, rng, domain_net, range_net, blob["image"], K=blob.get("K")
-    )
+def _read(path: str, wrapper: str | None = None) -> tuple[object, str]:
+    """The JSON value in ``path`` and its key path: the object under
+    ``wrapper`` in the ``{wrapper, "certificate"}`` report that
+    ``extend``/``restrict`` write, else the whole file."""
+    with open(path) as fh:
+        blob = json.load(fh)
+    if wrapper and type(blob) is dict and wrapper in blob:
+        return _fields(blob, path, {wrapper: "object"})[0], wrapper + "."
+    return blob, ""
 
 
-def _pair_from_json(dom, rng, blob: dict) -> EquivalencePair:
+def _net(space: FiniteMetricSpace, path: str, blob, at: str = "") -> Net:
+    members, K = _fields(blob, path, {"members": "array", "K": "number"}, at)
+    return net_from_members(space, members, K)
+
+
+def _read_bijection(dom, rng, path: str) -> NetBijection:
+    blob, at = _read(path, "bijection")
+    kinds = {"domain_net": "object", "range_net": "object", "image": "array", "K": "number?"}
+    dnet, rnet, image, K = _fields(blob, path, kinds, at)
+    return make_net_bijection(dom, rng, _net(dom, path, dnet, at + "domain_net."),
+                              _net(rng, path, rnet, at + "range_net."), image, K)
+
+
+def _read_pair(dom, rng, path: str) -> EquivalencePair:
     """The pair of a pair JSON, its claimed (lambda, c, R) re-certified."""
-    blob = _unwrap(blob, "pair")
+    blob, at = _read(path, "pair")
+    kinds = {"forward": "object", "backward": "object", "closeness": "number"}
+    forward, backward, closeness = _fields(blob, path, kinds, at)
 
-    def lsm(sub: dict) -> LargeScaleMap:
-        return LargeScaleMap(
-            np.asarray(sub["mapping"], dtype=np.intp),
-            float(sub["lambda"]),
-            float(sub["c"]),
-        )
+    def lsm(name: str, blob, target: FiniteMetricSpace) -> LargeScaleMap:
+        kinds = {"mapping": "array", "lambda": "number", "c": "number"}
+        mapping, lam, c = _fields(blob, path, kinds, f"{at}{name}.")
+        return LargeScaleMap(check_point_ids(target, mapping), lam, c)
 
     pair = EquivalencePair(
-        forward=lsm(blob["forward"]),
-        backward=lsm(blob["backward"]),
-        closeness=float(blob["closeness"]),
+        lsm("forward", forward, rng), lsm("backward", backward, dom), closeness
     )
     certify_equivalence(dom, rng, pair)
     return pair
 
 
-def _csv_text(rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _read_partition(space: FiniteMetricSpace, path: str) -> BorelPartition:
+    blob, at = _read(path)
+    kinds = {"cells": "object", "K": "number", "enumeration_order": "array"}
+    cells, K, order = _fields(blob, path, kinds, at)
+    _fields(cells, path, dict.fromkeys(cells, "array"), at + "cells.")
+    return partition_from_cells(space, cells, K, order)
 
 
-def _function_rows(f: BoundedFunction) -> list[list]:
-    rows = [["point", "re", "im"]]
-    for i, v in enumerate(f.values):
-        rows.append([i, repr(float(v.real)), repr(float(v.imag))])
-    return rows
+def _read_mapping(path: str) -> list:
+    """A total mapping: a bare JSON array, or the "mapping" of an object."""
+    blob, at = _read(path)
+    return blob if type(blob) is list else _fields(blob, path, {"mapping": "array"}, at)[0]
+
+
+def _function_rows(f: BoundedFunction) -> list:
+    return [("point", "re", "im"),
+            *zip(range(len(f)), f.values.real.tolist(), f.values.imag.tolist())]
 
 
 def _function_json(f: BoundedFunction) -> dict:
@@ -196,21 +237,16 @@ def _function_json(f: BoundedFunction) -> dict:
     }
 
 
-def _emit(args, payload, default_format: str = "json", csv_rows=None, dot_text=None):
-    fmt = getattr(args, "format", None) or default_format
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise ValueError("this subcommand has no CSV form")
-        text = _csv_text(csv_rows)
-    elif fmt == "dot":
-        if dot_text is None:
-            raise ValueError("this subcommand has no DOT form")
+def _emit(args, payload, csv_rows=None, dot_text=None):
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        text = buf.getvalue()
+    elif args.format == "dot":
         text = dot_text + "\n"
     else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if getattr(args, "output", None):
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -225,97 +261,78 @@ def _cmd_validate(args):
     _emit(args, {"n": space.n, "report": report.to_dict()})
 
 
-def _cmd_net(args):
-    space = _space_of(args)
+def _cmd_net(args, space):
     order = _order_from_seed(space.n, args.order_seed)
     net = greedy_separated_net(space, args.K, order)
     _emit(args, net.to_dict())
 
 
-def _cmd_refine(args):
-    space = _space_of(args)
-    net = _net_from_json(space, _load_json(args.net))
-    refined = refine_net(space, net, args.K)
+def _cmd_refine(args, space):
+    refined = refine_net(space, _net(space, args.net, *_read(args.net)), args.K)
     _emit(args, refined.to_dict())
 
 
-def _cmd_partition(args):
-    space = _space_of(args)
-    net = _net_from_json(space, _load_json(args.net))
+def _cmd_partition(args, space):
+    net = _net(space, args.net, *_read(args.net))
     order = _int_list(args.order) if args.order else None
     part = borel_partition(space, net, args.K, order)
     _emit(args, part.to_dict())
 
 
-def _cmd_distort(args):
-    dom, rng = _space_of(args), _space2_of(args)
-    blob = _unwrap(_load_json(args.bijection), "bijection")
-    report = measure_distortion(dom, rng, blob["domain_net"]["members"], blob["image"])
+def _cmd_distort(args, dom, rng):
+    f = _read_bijection(dom, rng, args.bijection)
+    report = measure_distortion(dom, rng, f.domain_members, f.image)
     _emit(args, report.to_dict())
 
 
-def _cmd_extend(args):
-    dom, rng = _space_of(args), _space2_of(args)
-    f = _bijection_from_json(dom, rng, _load_json(args.bijection))
-    pair, certificate = extend_net_map(dom, rng, f)
+def _cmd_extend(args, dom, rng):
+    pair, certificate = extend_net_map(dom, rng, _read_bijection(dom, rng, args.bijection))
     _emit(args, {"pair": pair.to_dict(), "certificate": {**certificate, "pass": True}})
 
 
-def _cmd_restrict(args):
-    dom, rng = _space_of(args), _space2_of(args)
-    pair = _pair_from_json(dom, rng, _load_json(args.pair))
+def _cmd_restrict(args, dom, rng):
+    pair = _read_pair(dom, rng, args.pair)
     order = _order_from_seed(dom.n, args.order_seed)
     bijection, certificate = restrict_equivalence(dom, rng, pair, args.epsilon, order)
     _emit(args, {"bijection": bijection.to_dict(),
                  "certificate": {**certificate, "pass": True}})
 
 
-def _cmd_closeness(args):
-    dom, rng = _space_of(args), _space2_of(args)
-    f = _bijection_from_json(dom, rng, _load_json(args.bijection))
-    g = _bijection_from_json(dom, rng, _load_json(args.bijection2))
+def _cmd_closeness(args, dom, rng):
+    f = _read_bijection(dom, rng, args.bijection)
+    g = _read_bijection(dom, rng, args.bijection2)
     s = closeness_gap(dom, rng, f, g, args.r)
-    if s is None:
-        _emit(args, {"close": False, "r": args.r})
-    else:
-        _emit(args, {"close": True, "r": args.r, "s": s})
+    _emit(args, {"close": False, "r": args.r} if s is None
+          else {"close": True, "r": args.r, "s": s})
 
 
-def _cmd_profile(args):
-    dom, rng = _space_of(args), _space2_of(args)
-    blob = _load_json(args.mapping)
-    mapping = blob["mapping"] if isinstance(blob, dict) else blob
+def _cmd_profile(args, dom, rng):
+    mapping = _read_mapping(args.mapping)
     grid = _float_list(args.grid) if args.grid else None
     fn = expansiveness_profile if args.kind == "expansiveness" else properness_profile
     samples = fn(dom, rng, mapping, grid)
-    rows = [["R", "S"]] + [[r, repr(s)] for r, s in samples]
     _emit(args, {"kind": args.kind, "samples": [[r, s] for r, s in samples]},
-          csv_rows=rows)
+          csv_rows=[("R", "S"), *samples])
 
 
-def _cmd_chain(args):
-    space = _space_of(args)
+def _cmd_chain(args, space):
     cm = chain_metric(space, args.c)
-    table = [
-        ["inf" if math.isinf(v) else repr(v) for v in row] for row in cm.table.tolist()
-    ]
+    table = cm.table.tolist()
     payload = {
         "c": args.c,
         "connected": cm.is_connected(),
-        "table": [[None if v == "inf" else float(v) for v in row] for row in table],
+        "table": [[None if math.isinf(v) else v for v in row] for row in table],
     }
-    _emit(args, payload, default_format="csv", csv_rows=table)
+    _emit(args, payload, csv_rows=table)
 
 
-def _cmd_convexity(args):
-    space = _space_of(args)
+def _cmd_convexity(args, space):
     grid = _float_list(args.b_grid) if args.b_grid else None
     frontier = convexity_constants(space, args.c, grid)
     _emit(args, {"c": args.c, "frontier": [k.to_dict() for k in frontier]})
 
 
-def _cmd_graph(args):
-    space = _space_of(args)
+def _cmd_graph(args, space):
     constants = None
     if args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
@@ -327,18 +344,14 @@ def _cmd_graph(args):
           dot_text=graph.to_dot(space))
 
 
-def _cmd_expansion(args):
-    space = _space_of(args)
+def _cmd_expansion(args, space):
     f = _load_function(args.fn, space.n)
-    field = expansion(space, f, args.r)
-    rows = [["point", "expansion"]] + [
-        [i, repr(v)] for i, v in enumerate(field.values.tolist())
-    ]
-    _emit(args, {"r": args.r, "values": field.values.tolist()}, csv_rows=rows)
+    values = expansion(space, f, args.r).values.tolist()
+    _emit(args, {"r": args.r, "values": values},
+          csv_rows=[("point", "expansion"), *enumerate(values)])
 
 
-def _cmd_decay(args):
-    space = _space_of(args)
+def _cmd_decay(args, space):
     f = _load_function(args.fn, space.n)
     grid = _float_list(args.grid) if args.grid else None
     profile = decay_profile(space, f, args.r, args.base, grid)
@@ -346,51 +359,37 @@ def _cmd_decay(args):
     if args.threshold is not None:
         payload["numerically_higson"] = profile.is_numerically_higson(args.threshold)
         payload["threshold"] = args.threshold
-    rows = [["rho", "sup"]] + [[rho, repr(s)] for rho, s in profile.samples]
-    _emit(args, payload, csv_rows=rows)
+    _emit(args, payload, csv_rows=[("rho", "sup"), *profile.samples])
 
 
-def _cmd_bump(args):
-    space = _space_of(args)
+def _cmd_bump(args, space):
     f = bump_function(space, _int_list(args.centers), _float_list(args.radii), args.base)
     _emit(args, _function_json(f), csv_rows=_function_rows(f))
 
 
-def _cmd_pextend(args):
-    space = _space_of(args)
-    blob = _load_json(args.partition)
-    part = partition_from_cells(
-        space, blob["cells"], float(blob["K"]), blob["enumeration_order"]
-    )
+def _cmd_pextend(args, space):
+    part = _read_partition(space, args.partition)
     f = _load_function(args.values, len(part.enumeration_order))
     extended = partition_extend(space, part, f)
     _emit(args, _function_json(extended), csv_rows=_function_rows(extended))
 
 
-def _cmd_oracle(args):
-    dom, rng = _space_of(args), _space2_of(args)
+def _cmd_oracle(args, dom, rng):
     c_star, pairing = min_distortion_bruteforce(dom, rng)
-    _emit(args, {
-        "C_star": None if math.isinf(c_star) else c_star,
-        "pairing": pairing.tolist(),
-    })
+    _emit(args, {"C_star": None if math.isinf(c_star) else c_star,
+                 "pairing": pairing.tolist()})
 
 
-def _squares_space(k: int) -> FiniteMetricSpace:
-    return from_point_cloud([[float(n * n)] for n in range(1, k + 1)])
-
-
-def _cubes_space(k: int) -> FiniteMetricSpace:
-    return from_point_cloud([[float(n ** 3)] for n in range(1, k + 1)])
+def _powers_space(k: int, p: int) -> FiniteMetricSpace:
+    """The first k p-th powers 1, 2^p, ..., k^p on the line."""
+    return from_point_cloud([[float(n ** p)] for n in range(1, k + 1)])
 
 
 def _cmd_demo_n2n3(args):
-    kmax = args.kmax
     # cubes -> squares is distance decreasing on every truncation
     decreasing = []
     for k in range(2, args.truncation + 1):
-        cubes, squares = _cubes_space(k), _squares_space(k)
-        profile = expansiveness_profile(cubes, squares, np.arange(k))
+        profile = expansiveness_profile(_powers_space(k, 3), _powers_space(k, 2), np.arange(k))
         decreasing.append({
             "k": k,
             "max_excess": max(s - r for r, s in profile),
@@ -398,12 +397,12 @@ def _cmd_demo_n2n3(args):
         })
     # squares -> cubes expands: S(R) blows up superlinearly
     k = args.truncation
-    blowup = expansiveness_profile(_squares_space(k), _cubes_space(k), np.arange(k))
+    blowup = expansiveness_profile(_powers_space(k, 2), _powers_space(k, 3), np.arange(k))
     # exact minimal distortion over the first k points grows without bound
-    table = []
-    for k in range(2, kmax + 1):
-        c_star, _ = min_distortion_bruteforce(_squares_space(k), _cubes_space(k))
-        table.append([k, c_star])
+    table = [
+        [k, min_distortion_bruteforce(_powers_space(k, 2), _powers_space(k, 3))[0]]
+        for k in range(2, args.kmax + 1)
+    ]
     values = [row[1] for row in table]
     payload = {
         "cubes_to_squares": decreasing,
@@ -412,38 +411,7 @@ def _cmd_demo_n2n3(args):
         "nondecreasing": all(b >= a for a, b in zip(values, values[1:])),
         "separation": values[-1] > values[0],
     }
-    rows = [["k", "C_star"]] + [[k, repr(v)] for k, v in table]
-    _emit(args, payload, csv_rows=rows)
-
-
-def _space_of(args) -> FiniteMetricSpace:
-    return _load_space(args.input, args.points, args.metric, args.tolerance)
-
-
-def _space2_of(args) -> FiniteMetricSpace:
-    return _load_space(args.input2, args.points2, args.metric2, args.tolerance)
-
-
-def _add_space_args(sub, second: bool = False):
-    sub.add_argument("--input", required=True, help="space CSV (distance matrix)")
-    sub.add_argument("--points", action="store_true",
-                     help="treat --input as a point cloud")
-    sub.add_argument("--metric", default="euclidean",
-                     choices=["euclidean", "manhattan", "chebyshev"])
-    if second:
-        sub.add_argument("--input2", required=True, help="second space CSV")
-        sub.add_argument("--points2", action="store_true",
-                         help="treat --input2 as a point cloud")
-        sub.add_argument("--metric2", default="euclidean",
-                         choices=["euclidean", "manhattan", "chebyshev"])
-
-
-def _add_common(sub):
-    sub.add_argument("--output", help="write the report here instead of stdout")
-    sub.add_argument("--format", choices=["json", "csv", "dot"], default=None)
-    sub.add_argument("--tolerance", type=_tolerance_arg, default=None,
-                     help=f"validation tolerance, a finite number >= 0 "
-                          f"(default: ${TOLERANCE_ENV}, else {DEFAULT_TOLERANCE})")
+    _emit(args, payload, csv_rows=[("k", "C_star"), *table])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,15 +420,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, handler, two_spaces=False, space=True, **kw):
-        p = subs.add_parser(name, **kw)
-        if space:
-            _add_space_args(p, second=two_spaces)
-        _add_common(p)
-        p.set_defaults(handler=handler)
+    def sub(name, handler, spaces=1, formats=("json",)):
+        """A subcommand whose handler takes the parsed arguments and its
+        ``spaces`` loaded spaces, writing one of ``formats`` (the first
+        by default)."""
+        p = subs.add_parser(name)
+        for suffix, text in (("", "space CSV (distance matrix)"),
+                             ("2", "second space CSV"))[:spaces]:
+            p.add_argument(f"--input{suffix}", required=True, help=text)
+            p.add_argument(f"--points{suffix}", action="store_true",
+                           help=f"treat --input{suffix} as a point cloud")
+            p.add_argument(f"--metric{suffix}", default="euclidean",
+                           choices=["euclidean", "manhattan", "chebyshev"])
+        p.add_argument("--output", help="write the report here instead of stdout")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--tolerance", type=_tolerance_arg, default=None,
+                       help=f"validation tolerance, a finite number >= 0 "
+                            f"(default: ${TOLERANCE_ENV}, else {DEFAULT_TOLERANCE})")
+        p.set_defaults(handler=handler, spaces=spaces)
         return p
 
-    sub("validate", _cmd_validate, space=False).add_argument(
+    sub("validate", _cmd_validate, spaces=0).add_argument(
         "--input", required=True, help="distance matrix CSV")
 
     p = sub("net", _cmd_net)
@@ -476,64 +456,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--order", help="comma-separated member enumeration")
 
-    p = sub("distort", _cmd_distort, two_spaces=True)
+    p = sub("distort", _cmd_distort, spaces=2)
     p.add_argument("--bijection", required=True, help="net bijection JSON")
 
-    p = sub("extend", _cmd_extend, two_spaces=True)
+    p = sub("extend", _cmd_extend, spaces=2)
     p.add_argument("--bijection", required=True, help="net bijection JSON")
 
-    p = sub("restrict", _cmd_restrict, two_spaces=True)
+    p = sub("restrict", _cmd_restrict, spaces=2)
     p.add_argument("--pair", required=True, help="equivalence pair JSON")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--order-seed", type=int, default=None)
 
-    p = sub("closeness", _cmd_closeness, two_spaces=True)
+    p = sub("closeness", _cmd_closeness, spaces=2)
     p.add_argument("--bijection", required=True)
     p.add_argument("--bijection2", required=True)
     p.add_argument("--r", type=float, required=True)
 
-    p = sub("profile", _cmd_profile, two_spaces=True)
+    p = sub("profile", _cmd_profile, spaces=2, formats=("json", "csv"))
     p.add_argument("--mapping", required=True, help="total mapping JSON")
     p.add_argument("--kind", choices=["expansiveness", "properness"],
                    default="expansiveness")
     p.add_argument("--grid", help="comma-separated radii")
 
-    p = sub("chain", _cmd_chain)
+    p = sub("chain", _cmd_chain, formats=("csv", "json"))
     p.add_argument("--c", type=float, required=True)
 
     p = sub("convexity", _cmd_convexity)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--b-grid", help="comma-separated offsets")
 
-    p = sub("graph", _cmd_graph)
+    p = sub("graph", _cmd_graph, formats=("json", "dot"))
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--order-seed", type=int, default=None)
 
-    p = sub("expansion", _cmd_expansion)
+    p = sub("expansion", _cmd_expansion, formats=("json", "csv"))
     p.add_argument("--fn", required=True, help="function values CSV")
     p.add_argument("--r", type=float, required=True)
 
-    p = sub("decay", _cmd_decay)
+    p = sub("decay", _cmd_decay, formats=("json", "csv"))
     p.add_argument("--fn", required=True, help="function values CSV")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--grid", help="comma-separated tail radii")
     p.add_argument("--threshold", type=float, default=None)
 
-    p = sub("bump", _cmd_bump)
+    p = sub("bump", _cmd_bump, formats=("json", "csv"))
     p.add_argument("--centers", required=True, help="comma-separated point ids")
     p.add_argument("--radii", required=True, help="comma-separated radii")
     p.add_argument("--base", type=int, default=None)
 
-    p = sub("pextend", _cmd_pextend)
+    p = sub("pextend", _cmd_pextend, formats=("json", "csv"))
     p.add_argument("--partition", required=True, help="partition JSON")
     p.add_argument("--values", required=True, help="per-member values CSV")
 
-    sub("oracle", _cmd_oracle, two_spaces=True)
+    sub("oracle", _cmd_oracle, spaces=2)
 
-    p = sub("demo-n2n3", _cmd_demo_n2n3, space=False)
+    p = sub("demo-n2n3", _cmd_demo_n2n3, spaces=0, formats=("json", "csv"))
     p.add_argument("--kmax", type=int, default=7)
     p.add_argument("--truncation", type=int, default=20,
                    help="truncation size for the profile scans")
@@ -547,7 +527,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.tolerance is None:
         args.tolerance = _env_tolerance(parser)
     try:
-        args.handler(args)
+        args.handler(args, *(_load_space(args, s) for s in ("", "2")[:args.spaces]))
     except CoarseGeomError as err:
         print(json.dumps(err.to_dict(), sort_keys=True), file=sys.stderr)
         return EXIT_PRECONDITION

@@ -59,6 +59,11 @@ class UnknownPoint(CoarseGeomError):
     """A point id from outside is not one of the space's 0..n-1."""
 
 
+class MalformedInput(CoarseGeomError):
+    """A JSON artifact from outside is not an object holding the keys,
+    with the JSON value types, that its reader needs."""
+
+
 # --- nets and partitions ---
 
 class NotANet(CoarseGeomError):

@@ -442,3 +442,123 @@ def test_pextend_refuses_overlapping_cells(line10_csv, tmp_path):
     err = json.loads(result.stderr)
     assert err["error"] == "InvalidPartition"
     assert err["witness"] == 3 and err["cells"] == [0, 3]
+
+
+def test_malformed_json_exits_2(line10_csv, tmp_path):
+    spaces = ("--input", line10_csv, "--input2", line10_csv)
+    path = tmp_path / "artifact.json"
+
+    def refused(*argv, blob):
+        path.write_text(json.dumps(blob))
+        result = run_cli(*argv, check=False)
+        assert result.returncode == 2, result.stderr
+        err = json.loads(result.stderr)
+        assert (err["error"], err["file"]) == ("MalformedInput", str(path))
+        return err["keys"]
+
+    assert refused("refine", "--input", line10_csv, "--net", path, "--K", 1,
+                   blob={"K": 1}) == ["members"]
+    # a net handed over as a pair misses every key of a pair
+    assert refused("restrict", *spaces, "--pair", path, "--epsilon", 1,
+                   blob={"members": [0, 3, 6, 9], "K": 2.0}) == [
+        "forward", "backward", "closeness"]
+    bij = {
+        "domain_net": {"members": [0, 3, 6, 9], "K": "2"},
+        "range_net": {"members": [0, 3, 6, 9], "K": 2.0},
+        "image": [0, 3, 6, 9],
+    }
+    assert refused("extend", *spaces, "--bijection", path,
+                   blob=bij) == ["domain_net.K"]
+    assert refused("distort", *spaces, "--bijection", path,
+                   blob={"bijection": bij, "certificate": {}}) == ["bijection.domain_net.K"]
+    assert refused("pextend", "--input", line10_csv, "--partition", path,
+                   "--values", path, blob=[0, 3]) == ["cells", "K", "enumeration_order"]
+    assert refused("pextend", "--input", line10_csv, "--partition", path,
+                   "--values", path, blob={"cells": {"0": 7}, "K": float("nan"),
+                                           "enumeration_order": [0]}) == ["K"]
+    assert refused("profile", *spaces, "--mapping", path,
+                   blob={"mapping": {"0": 0}}) == ["mapping"]
+
+
+def test_distort_refuses_image_off_the_range_net(line10_csv, tmp_path):
+    bij_path = tmp_path / "bij.json"
+    bij_path.write_text(json.dumps({
+        "domain_net": {"members": [0, 3, 6, 9], "K": 2.0},
+        "range_net": {"members": [0, 3, 6, 9], "K": 2.0},
+        "image": [0, 3, 6, 8],
+    }))
+    result = run_cli("distort", "--input", line10_csv, "--input2", line10_csv,
+                     "--bijection", bij_path, check=False)
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"] == "NotBijective"
+
+
+# the output forms each subcommand writes, its default first
+FORMATS = {
+    **dict.fromkeys(["validate", "net", "refine", "partition", "distort", "extend",
+                     "restrict", "closeness", "convexity", "oracle"], ("json",)),
+    "chain": ("csv", "json"),
+    **dict.fromkeys(["profile", "expansion", "decay", "bump", "pextend", "demo-n2n3"],
+                    ("json", "csv")),
+    "graph": ("json", "dot"),
+}
+
+
+@pytest.fixture
+def argv_on_line10(line10_csv, tmp_path):
+    """A valid invocation of every subcommand on the 10-point line."""
+    def write(name, blob):
+        path = tmp_path / name
+        path.write_text(blob if isinstance(blob, str) else json.dumps(blob))
+        return path
+
+    one = ("--input", line10_csv)
+    two = (*one, "--input2", line10_csv)
+    line = cg.line_space(10)
+    net = cg.greedy_separated_net(line, 2.0)
+    bijection = cg.make_net_bijection(line, line, net, net, net.members)
+    pair, _ = cg.extend_net_map(line, line, bijection)
+    net_path = write("net.json", net.to_dict())
+    bij_path = write("bij.json", bijection.to_dict())
+    fn_path = write("fn.csv", "".join(f"{x * x}\n" for x in range(10)))
+    small = write("small.csv", "0,1,3\n1,0,2\n3,2,0\n")
+    return {
+        "validate": one,
+        "net": (*one, "--K", 2),
+        "refine": (*one, "--net", net_path, "--K", 4),
+        "partition": (*one, "--net", net_path, "--K", 2),
+        "distort": (*two, "--bijection", bij_path),
+        "extend": (*two, "--bijection", bij_path),
+        "restrict": (*two, "--pair", write("pair.json", pair.to_dict()), "--epsilon", 1),
+        "closeness": (*two, "--bijection", bij_path, "--bijection2", bij_path, "--r", 1),
+        "profile": (*two, "--mapping", write("map.json", {"mapping": list(range(10))})),
+        "chain": (*one, "--c", 3),
+        "convexity": (*one, "--c", 1),
+        "graph": (*one, "--c", 1),
+        "expansion": (*one, "--fn", fn_path, "--r", 1),
+        "decay": (*one, "--fn", fn_path, "--r", 1, "--base", 0),
+        "bump": (*one, "--centers", 4, "--radii", 2),
+        "pextend": (*one, "--partition",
+                    write("part.json", cg.borel_partition(line, net, 2.0).to_dict()),
+                    "--values", write("values.csv", "0\n3\n6\n9\n")),
+        "oracle": ("--input", small, "--input2", small),
+        "demo-n2n3": ("--kmax", 3, "--truncation", 4),
+    }
+
+
+@pytest.mark.parametrize("command", sorted(FORMATS))
+def test_each_subcommand_offers_the_formats_it_writes(command, argv_on_line10):
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(subcommands) == set(FORMATS)
+    argv = (command, *argv_on_line10[command])
+    default = run_cli(*argv).stdout
+    for fmt in FORMATS[command]:
+        out = run_cli(*argv, "--format", fmt).stdout
+        assert out
+        if fmt == FORMATS[command][0]:
+            assert out == default
+    for fmt in {"json", "csv", "dot", "xml"} - set(FORMATS[command]):
+        result = run_cli(*argv, "--format", fmt, check=False)
+        assert result.returncode == 64
+        assert "invalid choice" in result.stderr
