@@ -46,12 +46,16 @@ BRUTEFORCE_CAP = 8
 _CHUNK = 512
 
 
-def _mapping_array(space: FiniteMetricSpace, mapping: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(mapping, dtype=np.intp)
-    if arr.shape != (space.n,):
+def _mapping_array(
+    dom: FiniteMetricSpace, rng: FiniteMetricSpace, mapping: Sequence[int]
+) -> np.ndarray:
+    """``mapping`` as intp once each value names a point of ``rng`` and
+    every point of ``dom`` has one."""
+    arr = check_point_ids(rng, mapping)
+    if arr.shape != (dom.n,):
         raise ValueError(
             f"mapping must assign every point of the domain: "
-            f"expected length {space.n}, got {arr.shape}"
+            f"expected length {dom.n}, got {arr.shape}"
         )
     return arr
 
@@ -84,7 +88,7 @@ def additive_slack(
     The result (clamped at 0) is the least additive constant c making
     (lam, c) a valid large-scale Lipschitz distortion of ``mapping``.
     """
-    m = check_point_ids(rng, _mapping_array(dom, mapping))
+    m = _mapping_array(dom, rng, mapping)
     return _max_gap(
         dom.n, lambda lo, hi: rng.dist[np.ix_(m[lo:hi], m)] - lam * dom.dist[lo:hi]
     )
@@ -94,7 +98,7 @@ def displacement(
     space: FiniteMetricSpace, mapping: Sequence[int]
 ) -> tuple[float, int]:
     """Max over x of d(x, mapping(x)): how far a self-map moves points."""
-    m = _mapping_array(space, mapping)
+    m = _mapping_array(space, space, mapping)
     moved = space.dist[np.arange(space.n), m]
     x = int(np.argmax(moved))
     return float(moved[x]), x
@@ -332,7 +336,7 @@ def make_net_bijection(
     K: float | None = None,
 ) -> NetBijection:
     """Assemble a NetBijection, measuring its bi-Lipschitz constant."""
-    img = np.asarray(image, dtype=np.intp)
+    img = check_point_ids(rng, image)
     if sorted(img.tolist()) != sorted(range_net.members.tolist()):
         raise NotBijective("image is not a bijection onto the range net members")
     report = measure_distortion(dom, rng, domain_net.members, img)
@@ -510,7 +514,7 @@ def expansiveness_profile(
     radius_grid: Sequence[float] | None = None,
 ) -> list[tuple[float, float]]:
     """S(R) = max d'(fx, fz) over pairs with d(x, z) <= R, per grid R."""
-    m = _mapping_array(dom, mapping)
+    m = _mapping_array(dom, rng, mapping)
     grid = (
         default_radius_grid(dom.diameter()) if radius_grid is None else list(radius_grid)
     )
@@ -525,7 +529,7 @@ def properness_profile(
     radius_grid: Sequence[float] | None = None,
 ) -> list[tuple[float, float]]:
     """S'(R) = max d(x, z) over pairs with d'(fx, fz) <= R, per grid R."""
-    m = _mapping_array(dom, mapping)
+    m = _mapping_array(dom, rng, mapping)
     grid = (
         default_radius_grid(rng.diameter()) if radius_grid is None else list(radius_grid)
     )
@@ -545,7 +549,7 @@ def quasi_inverse(
     Requires the image of ``mapping`` to be N-dense; the selection is
     the first qualifying preimage point in ``order``.
     """
-    m = _mapping_array(dom, mapping)
+    m = _mapping_array(dom, rng, mapping)
     scan = np.arange(dom.n) if order is None else np.asarray(order, dtype=np.intp)
     hits = rng.dist[m[scan], :] <= N
     covered = hits.any(axis=0)

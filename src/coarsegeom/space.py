@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -56,19 +57,29 @@ def check_tolerance(tolerance) -> float:
 
 
 def check_point_ids(space: FiniteMetricSpace, ids) -> np.ndarray:
-    """Return ``ids`` (one id or many) as intp if each names a point of
-    ``space``; else raise ``UnknownPoint`` naming the first bad id and n,
-    so that a negative id never wraps, a fractional one is never
-    truncated and a large one never escapes as an ``IndexError``."""
-    raw = np.asarray(ids)
-    arr = raw.astype(np.intp)
-    bad = raw[(arr != raw) | (arr < 0) | (arr >= space.n)]
-    if bad.size:
-        x = bad.flat[0].item()
+    """Return ``ids`` (one id or a flat sequence of them) as intp if each
+    names a point of ``space``; else raise ``UnknownPoint`` naming the
+    first bad id and n. The values are checked before they are cast, so
+    a negative id never wraps, a fractional one is never truncated, a
+    large one never escapes as an ``IndexError`` and one that is not a
+    number (None, a string, a nested list) never as a ``TypeError``."""
+    raw = ids if isinstance(ids, np.ndarray) else np.array(ids, dtype=object)
+    if raw.ndim > 1:
+        bad = [raw[0].tolist()]
+    elif raw.dtype.kind in "iuf":
+        outside = (raw < 0) | (raw >= space.n)
+        if raw.dtype.kind == "f":
+            outside |= np.floor(raw) != raw
+        bad = raw[outside].tolist()
+    else:
+        bad = [x for x in raw.ravel().tolist() if isinstance(x, bool)
+               or not (isinstance(x, numbers.Real) and 0 <= x < space.n and x == int(x))]
+    if bad:
         raise UnknownPoint(
-            f"point id {x} is not in a space of {space.n} points", id=x, n=space.n
+            f"point id {bad[0]!r} is not in a space of {space.n} points",
+            id=bad[0], n=space.n,
         )
-    return arr
+    return raw.astype(np.intp)
 
 
 def check_bounds(

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coarsegeom as cg
 from coarsegeom import cli
@@ -562,3 +563,157 @@ def test_each_subcommand_offers_the_formats_it_writes(command, argv_on_line10):
         result = run_cli(*argv, "--format", fmt, check=False)
         assert result.returncode == 64
         assert "invalid choice" in result.stderr
+
+
+@pytest.mark.parametrize("bad", [-1, 42])
+def test_profile_mapping_ids_are_checked(line10_csv, tmp_path, bad):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"mapping": [bad, *range(1, 10)]}))
+    result = run_cli("profile", "--input", line10_csv, "--input2", line10_csv,
+                     "--mapping", map_path, check=False)
+    assert result.returncode == 2
+    err = json.loads(result.stderr)
+    assert (err["error"], err["id"]) == ("UnknownPoint", bad)
+
+
+def test_no_id_is_cast_before_it_is_checked(line10_csv, tmp_path):
+    spaces = ("--input", line10_csv, "--input2", line10_csv)
+    bij = {
+        "domain_net": {"members": [0, 3, 6, 9], "K": 2.0},
+        "range_net": {"members": [0, 3, 6, 9], "K": 2.0},
+        "image": [0, 3, 6, 9],
+    }
+    bij_path, ext_path = tmp_path / "bij.json", tmp_path / "ext.json"
+    bij_path.write_text(json.dumps(bij))
+    run_cli("extend", *spaces, "--bijection", bij_path, "--output", ext_path)
+
+    def refused(*argv, bad):
+        result = run_cli(*argv, check=False)
+        assert result.returncode == 2
+        err = json.loads(result.stderr)
+        assert (err["error"], err["id"]) == ("UnknownPoint", bad)
+
+    # a forward mapping value 0.7 was truncated to 0, and the pair passed
+    pair = json.loads(ext_path.read_text())["pair"]
+    assert pair["forward"]["mapping"][0] == 0
+    pair["forward"]["mapping"][0] = 0.7
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps(pair))
+    refused("restrict", *spaces, "--pair", pair_path, "--epsilon", 1, bad=0.7)
+    # an image value 9.5 was cast to 9 before any check
+    bij_path.write_text(json.dumps({**bij, "image": [0, 3, 6, 9.5]}))
+    refused("extend", *spaces, "--bijection", bij_path, bad=9.5)
+    # a null id ended in a TypeError
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"members": [0, None, 6, 9], "K": 2.0}))
+    refused("refine", "--input", line10_csv, "--net", net_path, "--K", 3, bad=None)
+
+
+# --- malformed JSON artifacts, fuzzed ---
+
+_LINE10 = "".join(",".join(str(abs(i - j)) for j in range(10)) + "\n" for i in range(10))
+_BIJECTION = {
+    "domain_net": {"members": [0, 3, 6, 9], "K": 2.0},
+    "range_net": {"members": [0, 3, 6, 9], "K": 2.0},
+    "image": [0, 3, 6, 9],
+}
+_PAIR = {
+    "forward": {"mapping": [0, 0, 3, 3, 3, 6, 6, 6, 9, 9], "lambda": 1.0, "c": 2.0},
+    "backward": {"mapping": [0, 0, 3, 3, 3, 6, 6, 6, 9, 9], "lambda": 1.0, "c": 2.0},
+    "closeness": 1.0,
+}
+# subcommand -> (valid artifact, argv with "@" where the artifact goes and
+# "{d}" for the directory holding the other inputs)
+_FUZZED = {
+    "refine": ({"members": [0, 3, 6, 9], "K": 2.0}, ("--net", "@", "--K", 3)),
+    "partition": ({"members": [0, 3, 6, 9], "K": 2.0}, ("--net", "@", "--K", 2)),
+    "pextend": ({"K": 2.0, "enumeration_order": [0, 3, 6, 9], "cells": {
+        "0": [0, 1, 2], "3": [3, 4, 5], "6": [6, 7, 8], "9": [9]}},
+        ("--partition", "@", "--values", "{d}/values.csv")),
+    "extend": (_BIJECTION, ("--input2", "{d}/line10.csv", "--bijection", "@")),
+    "distort": (_BIJECTION, ("--input2", "{d}/line10.csv", "--bijection", "@")),
+    "closeness": (_BIJECTION, ("--input2", "{d}/line10.csv", "--bijection", "@",
+                               "--bijection2", "{d}/bij.json", "--r", 1)),
+    "restrict": (_PAIR, ("--input2", "{d}/line10.csv", "--pair", "@", "--epsilon", 1)),
+    "profile": ({"mapping": list(range(10))},
+                ("--input2", "{d}/line10.csv", "--mapping", "@")),
+}
+_JUNK = [None, "x", [[0]], {}]
+_BAD_IDS = [0.7, -1]
+
+
+def _mutations(blob, path=()):
+    """Every way to break ``blob`` once: drop a key, or put junk in place
+    of a value; a bad id goes only where an id, an array or an object
+    belongs, since a number such as a net's K may legitimately change."""
+    if isinstance(blob, dict):
+        for key, value in blob.items():
+            yield ("drop", (*path, key), None)
+            yield from _mutations(value, (*path, key))
+    elif isinstance(blob, list):
+        for i, value in enumerate(blob):
+            yield from _mutations(value, (*path, i))
+    if path:
+        parent_is_array = isinstance(path[-1], int)
+        containers = isinstance(blob, (dict, list)) or parent_is_array
+        for junk in _JUNK + (_BAD_IDS if containers else []):
+            yield ("replace", path, junk)
+
+
+def _apply(blob, mutation):
+    kind, path, junk = mutation
+    if kind == "top":
+        return junk
+    blob = json.loads(json.dumps(blob))
+    parent = blob
+    for step in path[:-1]:
+        parent = parent[step]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    return blob
+
+
+_CASES = [
+    (command, mutation)
+    for command, (blob, _) in _FUZZED.items()
+    for mutation in [*_mutations(blob),
+                     *(("top", (), junk) for junk in [None, 3, "x", [[0]]])]
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "line10.csv").write_text(_LINE10)
+    (d / "values.csv").write_text("0\n3\n6\n9\n")
+    (d / "bij.json").write_text(json.dumps(_BIJECTION))
+    return d
+
+
+def _fuzz_argv(d, command, artifact):
+    argv = ("--input", "{d}/line10.csv", *_FUZZED[command][1])
+    return (command, *(artifact if a == "@" else str(a).format(d=d) for a in argv))
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZED))
+def test_fuzzed_artifacts_start_valid(fuzz_dir, command):
+    path = fuzz_dir / f"{command}-valid.json"
+    path.write_text(json.dumps(_FUZZED[command][0]))
+    run_cli(*_fuzz_argv(fuzz_dir, command, path))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(_CASES))
+def test_malformed_artifacts_exit_cleanly(fuzz_dir, case):
+    command, mutation = case
+    path = fuzz_dir / "artifact.json"
+    path.write_text(json.dumps(_apply(_FUZZED[command][0], mutation)))
+    result = run_cli(*_fuzz_argv(fuzz_dir, command, path), check=False)
+    assert result.returncode in (2, 64), (case, result.stdout)
+    assert "Traceback" not in result.stderr
+    if result.returncode == 2:
+        assert "error" in json.loads(result.stderr)
+    else:
+        assert result.stderr.startswith(("coarsegeom: error:", "usage:"))

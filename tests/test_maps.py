@@ -13,6 +13,7 @@ from coarsegeom.errors import (
     NotDense,
     SizeMismatch,
     TooLarge,
+    UnknownPoint,
 )
 from conftest import random_net_bijection
 
@@ -352,3 +353,17 @@ def test_measure_agrees_with_oracle_on_optimizer(seed):
     c_star, pairing = cg.min_distortion_bruteforce(dom, rng_space)
     report = cg.measure_distortion(dom, rng_space, np.arange(n), pairing)
     assert report.min_C == pytest.approx(c_star, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, 42, 0.5, None])
+@pytest.mark.parametrize("call", [
+    lambda line, m: cg.additive_slack(line, line, m, 1.0),
+    lambda line, m: cg.displacement(line, m),
+    lambda line, m: cg.expansiveness_profile(line, line, m),
+    lambda line, m: cg.properness_profile(line, line, m),
+    lambda line, m: cg.quasi_inverse(line, line, m, 1.0),
+])
+def test_mapping_values_are_checked_before_use(line10, call, bad):
+    with pytest.raises(UnknownPoint) as err:
+        call(line10, [bad, *range(1, 10)])
+    assert err.value.payload["id"] == bad

@@ -41,6 +41,14 @@ def test_point_ids_must_name_points(x):
     assert err.value.payload == {"id": x, "n": 10}
 
 
+@pytest.mark.parametrize("x", [None, "3", [0, 1], True, float("nan")])
+def test_point_ids_that_are_not_integers_are_refused(x):
+    with pytest.raises(UnknownPoint) as err:
+        cg.net_from_members(cg.line_space(10), [0, x], 1.0)
+    got = err.value.payload["id"]
+    assert got is x or got == x
+
+
 def test_negative_entry_rejected():
     with pytest.raises(NegativeEntryError):
         cg.from_distance_matrix([[0, -1], [-1, 0]])
