@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyTail, OverlappingBalls, PartitionGap
-from .nets import BorelPartition
+from .errors import EmptyTail, OverlappingBalls
+from .nets import BorelPartition, check_disjoint_cover
 from .space import FiniteMetricSpace, check_point_ids
 
 _CHUNK = 256
@@ -199,7 +199,8 @@ def partition_extend(
     f_on_members: Mapping[int, complex] | Sequence[complex] | BoundedFunction,
 ) -> BoundedFunction:
     """Extend a function on net members to the whole space, constant on
-    each cell; the restriction back to the members reproduces the input."""
+    each cell; the restriction back to the members reproduces the input.
+    The cells must partition the space (checked, with a witness point)."""
     members = partition.enumeration_order
     if isinstance(f_on_members, BoundedFunction):
         seq = f_on_members.values
@@ -213,10 +214,7 @@ def partition_extend(
             f"expected one value per member ({members.size}), "
             f"got shape {member_values.shape}"
         )
-    owner = partition.cell_index(space.n)
-    if (owner < 0).any():
-        missing = int(np.flatnonzero(owner < 0)[0])
-        raise PartitionGap(f"point {missing} lies in no cell", witness=missing)
+    check_disjoint_cover(space.n, partition.cells, members)
     lookup = np.zeros(space.n, dtype=np.complex128)
     lookup[members] = member_values
-    return BoundedFunction(lookup[owner])
+    return BoundedFunction(lookup[partition.cell_index(space.n)])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coarsegeom as cg
-from coarsegeom.errors import EmptyTail, OverlappingBalls, PartitionGap
+from coarsegeom.errors import EmptyTail, InvalidPartition, OverlappingBalls, PartitionGap
 from conftest import random_bounded_function, random_space
 
 ALGEBRA_TOL = 1e-12
@@ -243,6 +243,17 @@ def test_partition_gap_detected(line10):
     with pytest.raises(PartitionGap) as err:
         cg.partition_extend(line10, part, [1.0])
     assert err.value.payload["witness"] == 3
+
+
+def test_partition_extend_refuses_overlapping_cells(line10):
+    # points 3 and 4 lie in both cells; the later cell must not win
+    part = cg.BorelPartition(
+        cells={0: np.arange(5), 3: np.arange(3, 10)}, K=6.0,
+        enumeration_order=np.array([0, 3]),
+    )
+    with pytest.raises(InvalidPartition) as err:
+        cg.partition_extend(line10, part, [0.0, 3.0])
+    assert err.value.payload == {"witness": 3, "cells": [0, 3]}
 
 
 def test_partition_extend_decay_dominated_by_net_decay():
