@@ -550,7 +550,7 @@ def quasi_inverse(
     the first qualifying preimage point in ``order``.
     """
     m = _mapping_array(dom, rng, mapping)
-    scan = np.arange(dom.n) if order is None else np.asarray(order, dtype=np.intp)
+    scan = np.arange(dom.n) if order is None else check_point_ids(dom, order)
     hits = rng.dist[m[scan], :] <= N
     covered = hits.any(axis=0)
     if not covered.all():

@@ -34,7 +34,7 @@ from .space import (
 def _as_order(space: FiniteMetricSpace, order: Sequence[int] | None) -> np.ndarray:
     if order is None:
         return np.arange(space.n)
-    arr = np.asarray(order, dtype=np.intp)
+    arr = check_point_ids(space, order)
     if sorted(arr.tolist()) != list(range(space.n)):
         raise ValueError("order must be a permutation of all point ids")
     return arr
@@ -219,8 +219,8 @@ def borel_partition(
     unclaimed. Points equidistant to several members therefore land
     with the earliest claimant.
     """
-    members = net.members if isinstance(net, Net) else np.asarray(net, dtype=np.intp)
-    enum = members if order is None else np.asarray(order, dtype=np.intp)
+    members = net.members if isinstance(net, Net) else check_point_ids(space, net)
+    enum = members if order is None else check_point_ids(space, order)
     if sorted(enum.tolist()) != sorted(members.tolist()):
         raise ValueError("order must enumerate exactly the net members")
 

@@ -302,7 +302,7 @@ def closed_ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:
 
 def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
     """Min distance over distinct pairs of ``members``."""
-    idx = np.asarray(members, dtype=np.intp)
+    idx = check_point_ids(space, members)
     if idx.size < 2:
         raise TooFewPoints(
             f"separation needs at least 2 points, got {idx.size}", size=int(idx.size)
@@ -314,7 +314,7 @@ def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
 
 def cover_witness(space: FiniteMetricSpace, members: Sequence[int]) -> tuple[float, int]:
     """The cover radius of ``members`` and the lowest point attaining it."""
-    idx = np.asarray(members, dtype=np.intp)
+    idx = check_point_ids(space, members)
     if idx.size == 0:
         raise TooFewPoints("cover radius of an empty set", size=0)
     gaps = space.dist[:, idx].min(axis=1)

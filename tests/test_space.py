@@ -49,6 +49,20 @@ def test_point_ids_that_are_not_integers_are_refused(x):
     assert got is x or got == x
 
 
+@pytest.mark.parametrize("call", [
+    lambda line: cg.separation_of(line, [-1, 3]),
+    lambda line: cg.cover_radius_of(line, [0, 3, 6, 9.5]),
+    lambda line: cg.greedy_separated_net(line, 2.0, order=[0.5, *range(1, 10)]),
+    lambda line: cg.borel_partition(line, [0, 3, 6, 9.5], 2.0),
+    lambda line: cg.borel_partition(line, [0, 3, 6, 9], 2.0, order=[9.5, 6, 3, 0]),
+    lambda line: cg.quasi_inverse(line, line, range(10), 1.0, order=[-1, *range(9)]),
+])
+def test_scan_orders_and_member_lists_are_checked(call):
+    # each of these used to wrap -1 to point 9 or truncate 9.5 to 9 and 0.5 to 0
+    with pytest.raises(UnknownPoint):
+        call(cg.line_space(10))
+
+
 def test_negative_entry_rejected():
     with pytest.raises(NegativeEntryError):
         cg.from_distance_matrix([[0, -1], [-1, 0]])
