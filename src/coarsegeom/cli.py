@@ -40,7 +40,6 @@ from .maps import (
     expansiveness_profile,
     extend_net_map,
     make_net_bijection,
-    measure_distortion,
     min_distortion_bruteforce,
     properness_profile,
     restrict_equivalence,
@@ -280,9 +279,7 @@ def _cmd_partition(args, space):
 
 
 def _cmd_distort(args, dom, rng):
-    f = _read_bijection(dom, rng, args.bijection)
-    report = measure_distortion(dom, rng, f.domain_members, f.image)
-    _emit(args, report.to_dict())
+    _emit(args, _read_bijection(dom, rng, args.bijection).distortion.to_dict())
 
 
 def _cmd_extend(args, dom, rng):

@@ -228,7 +228,7 @@ class NetBijection:
     domain_net: Net
     range_net: Net
     image: np.ndarray
-    measured_C: float
+    distortion: DistortionReport
     K: float
 
     def __post_init__(self):
@@ -240,11 +240,9 @@ class NetBijection:
     def domain_members(self) -> np.ndarray:
         return self.domain_net.members
 
-    def pair_map(self, n_dom: int) -> np.ndarray:
-        """Member id -> image id as a dense lookup (-1 off the net)."""
-        lookup = np.full(n_dom, -1, dtype=np.intp)
-        lookup[self.domain_net.members] = self.image
-        return lookup
+    @property
+    def measured_C(self) -> float:
+        return self.distortion.min_C
 
     def to_dict(self) -> dict:
         return {
@@ -296,10 +294,10 @@ def measure_distortion(
     both_zero = (dd == 0) & (dr == 0)
     degenerate = off & ((dd == 0) ^ (dr == 0))
 
-    profile = [
-        (float(r), float(dr[off & (dd <= r)].max(initial=0.0)))
-        for r in default_radius_grid(float(dd.max(initial=0.0)))
-    ]
+    # a point paired with itself lies within no radius
+    profile = _profile(
+        np.where(off, dd, np.inf), dr, default_radius_grid(float(dd.max(initial=0.0)))
+    )
 
     deg_pair = None
     if degenerate.any():
@@ -339,13 +337,12 @@ def make_net_bijection(
     img = check_point_ids(rng, image)
     if sorted(img.tolist()) != sorted(range_net.members.tolist()):
         raise NotBijective("image is not a bijection onto the range net members")
-    report = measure_distortion(dom, rng, domain_net.members, img)
     joint_K = max(domain_net.K, range_net.K) if K is None else K
     return NetBijection(
         domain_net=domain_net,
         range_net=range_net,
         image=img,
-        measured_C=report.min_C,
+        distortion=measure_distortion(dom, rng, domain_net.members, img),
         K=float(joint_K),
     )
 
@@ -367,9 +364,9 @@ def extend_net_map(
     """Extend a (K, C) net bijection to a total equivalence within (C, 2CK, K).
 
     Each point rides with its nearest net member (ties to the lowest
-    id, members fixed), then crosses via the bijection. The measured
-    (lambda, c, R) of the result is certified against the claimed
-    bound componentwise.
+    id, members fixed), then crosses via the bijection. The pair is
+    certified at the claimed (C, 2CK, K) by ``certify_equivalence`` and
+    returned with its measured (lambda, c, R).
     """
     K, C = f.K, f.measured_C
     if not math.isfinite(C):
@@ -385,36 +382,22 @@ def extend_net_map(
                 cover=cover,
             )
 
-    h_dom = _nearest_member(dom, f.domain_net.members)
-    h_rng = _nearest_member(rng, f.range_net.members)
-    fwd_lookup = f.pair_map(dom.n)
-    bwd_lookup = np.full(rng.n, -1, dtype=np.intp)
-    bwd_lookup[f.image] = f.domain_net.members
-    phi = fwd_lookup[h_dom]
-    psi = bwd_lookup[h_rng]
+    # member -> paired member lookups, -1 off the nets
+    fwd = np.full(dom.n, -1, dtype=np.intp)
+    fwd[f.domain_net.members] = f.image
+    bwd = np.full(rng.n, -1, dtype=np.intp)
+    bwd[f.image] = f.domain_net.members
+    phi = fwd[_nearest_member(dom, f.domain_net.members)]
+    psi = bwd[_nearest_member(rng, f.range_net.members)]
 
     lam = max(C, 1.0)
-    slack_f, _ = additive_slack(dom, rng, phi, lam)
-    slack_b, _ = additive_slack(rng, dom, psi, lam)
-    c_meas = max(slack_f, slack_b, 0.0)
-    back_forth, _ = displacement(dom, psi[phi])
-    forth_back, _ = displacement(rng, phi[psi])
-    r_meas = max(back_forth, forth_back)
-
     claimed = {"lambda": lam, "c": 2.0 * C * K, "R": K}
-    measured = {"lambda": lam, "c": c_meas, "R": r_meas}
-    check_bounds(
-        "extension exceeds the (C, 2CK, K) bound",
-        {"c": (claimed["c"], c_meas), "R": (claimed["R"], r_meas)},
-        claimed=claimed,
-        measured=measured,
-    )
-    pair = EquivalencePair(
-        forward=LargeScaleMap(phi, lam, c_meas),
-        backward=LargeScaleMap(psi, lam, c_meas),
-        closeness=r_meas,
-    )
-    return pair, {"claimed": claimed, "measured": measured}
+    measured = certify_equivalence(dom, rng, EquivalencePair(
+        LargeScaleMap(phi, lam, claimed["c"]), LargeScaleMap(psi, lam, claimed["c"]), K
+    ))["measured"]
+    c, R = max(measured["forward_slack"], measured["backward_slack"]), measured["R"]
+    pair = EquivalencePair(LargeScaleMap(phi, lam, c), LargeScaleMap(psi, lam, c), R)
+    return pair, {"claimed": claimed, "measured": {"lambda": lam, "c": c, "R": R}}
 
 
 def restrict_equivalence(
@@ -496,15 +479,24 @@ def closeness_gap(
     """Least s making f and g (r, s)-close, or None if the nets are not
     mutually r-dense."""
     a, b = f.domain_net.members, g.domain_net.members
-    if float(dom.dist[np.ix_(a, b)].min(axis=1).max()) > r:
+    d_nets = dom.dist[np.ix_(a, b)]
+    if float(d_nets.min(axis=1).max()) > r:
         return None
     if float(dom.dist[np.ix_(b, a)].min(axis=1).max()) > r:
         return None
-    cross = dom.dist[np.ix_(a, b)] <= r
+    cross = d_nets <= r
     if not cross.any():
         return 0.0
     d_images = rng.dist[np.ix_(f.image, g.image)]
     return float(d_images[cross].max())
+
+
+def _profile(
+    within: np.ndarray, reach: np.ndarray, grid: Sequence[float]
+) -> list[tuple[float, float]]:
+    """(R, max of ``reach`` over the entries where ``within`` <= R) per
+    grid R, 0 where there are none."""
+    return [(float(r), float(reach[within <= r].max(initial=0.0))) for r in grid]
 
 
 def expansiveness_profile(
@@ -518,8 +510,7 @@ def expansiveness_profile(
     grid = (
         default_radius_grid(dom.diameter()) if radius_grid is None else list(radius_grid)
     )
-    dr = rng.dist[np.ix_(m, m)]
-    return [(float(r), float(dr[dom.dist <= r].max(initial=0.0))) for r in grid]
+    return _profile(dom.dist, rng.dist[np.ix_(m, m)], grid)
 
 
 def properness_profile(
@@ -533,8 +524,7 @@ def properness_profile(
     grid = (
         default_radius_grid(rng.diameter()) if radius_grid is None else list(radius_grid)
     )
-    dr = rng.dist[np.ix_(m, m)]
-    return [(float(r), float(dom.dist[dr <= r].max(initial=0.0))) for r in grid]
+    return _profile(rng.dist[np.ix_(m, m)], dom.dist, grid)
 
 
 def quasi_inverse(

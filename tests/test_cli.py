@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coarsegeom as cg
-from coarsegeom import cli
+from coarsegeom import cli, maps
 
 
 def _checked(result, check):
@@ -354,6 +354,31 @@ def test_function_csv_round_trip(line10_csv, tmp_path):
     result = run_cli("expansion", "--input", line10_csv, "--fn", shuffled,
                      "--r", 1, check=False)
     assert result.returncode == 64
+
+
+def test_distort_reports_the_bijections_own_measurement(line10_csv, tmp_path, monkeypatch):
+    bij_path = tmp_path / "bij.json"
+    bij_path.write_text(json.dumps({
+        "domain_net": {"members": [0, 3, 6, 9], "K": 2.0},
+        "range_net": {"members": [0, 3, 6, 9], "K": 2.0},
+        "image": [0, 3, 9, 6],
+    }))
+    measure, calls = maps.measure_distortion, []
+
+    def counted(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(maps, "measure_distortion", counted)
+    monkeypatch.setattr(cli, "measure_distortion", counted, raising=False)
+    distort = json.loads(run_cli("distort", "--input", line10_csv, "--input2",
+                                 line10_csv, "--bijection", bij_path).stdout)
+    assert len(calls) == 1
+    line = cg.line_space(10)
+    net = cg.net_from_members(line, [0, 3, 6, 9], 2.0)
+    f = cg.make_net_bijection(line, line, net, net, [0, 3, 9, 6])
+    assert distort == json.loads(json.dumps(f.distortion.to_dict()))
+    assert distort["min_C"] == f.measured_C == 2.0
 
 
 def test_cli_reads_its_own_json(line10_csv, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coarsegeom as cg
+from coarsegeom import maps
 from coarsegeom.errors import (
     CertificateError,
     InjectivityFailure,
@@ -108,6 +110,32 @@ def test_extend_dilation_by_two(line10):
     pair, cert = cg.extend_net_map(line10, evens, f)
     assert cert["measured"]["c"] <= 8.0 + 1e-9
     assert cert["measured"]["R"] <= 2.0 + 1e-9
+
+
+def test_extension_certifies_through_certify_equivalence(line10, monkeypatch):
+    evens = cg.from_point_cloud([[2.0 * i] for i in range(10)])
+    dom_net = cg.net_from_members(line10, [0, 3, 6, 9], 2.0)
+    rng_net = cg.net_from_members(evens, [0, 3, 6, 9], 2.0)
+    f = cg.make_net_bijection(line10, evens, dom_net, rng_net, [0, 3, 6, 9])
+    certify, reports = maps.certify_equivalence, []
+
+    def recorded(*args):
+        reports.append(certify(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(maps, "certify_equivalence", recorded)
+    pair, cert = cg.extend_net_map(line10, evens, f)
+    again = certify(line10, evens, pair)["measured"]
+    assert [r["measured"] for r in reports] == [again]
+    assert cert["measured"]["c"] == max(again["forward_slack"], again["backward_slack"])
+    assert cert["measured"]["R"] == again["R"]
+
+    # a bijection that understates its distortion fails the certification
+    lying = dataclasses.replace(f, distortion=dataclasses.replace(f.distortion, min_C=1.0))
+    with pytest.raises(CertificateError) as err:
+        cg.extend_net_map(line10, evens, lying)
+    assert err.value.payload["failed"] == ["forward_slack"]
+    assert err.value.payload["claimed"]["forward_slack"] == 4.0
 
 
 def test_extend_rejects_undersized_cover(line10):
