@@ -50,6 +50,7 @@ from .nets import (
     borel_partition,
     greedy_separated_net,
     net_from_members,
+    parse_member_key,
     partition_from_cells,
     refine_net,
 )
@@ -215,6 +216,10 @@ def _read_partition(space: FiniteMetricSpace, path: str) -> BorelPartition:
     kinds = {"cells": "object", "K": "number", "enumeration_order": "array"}
     cells, K, order = _fields(blob, path, kinds, at)
     _fields(cells, path, dict.fromkeys(cells, "array"), at + "cells.")
+    keys = [f"{at}cells.{k}" for k in cells if type(parse_member_key(k)) is str]
+    if keys:
+        raise MalformedInput(f"{path}: cell keys are not point ids in decimal: "
+                             f"{', '.join(keys)}", file=path, keys=keys)
     return partition_from_cells(space, cells, K, order)
 
 

@@ -172,7 +172,6 @@ def build_geodesic_graph(
     c: float,
     order: Sequence[int] | None = None,
     constants: ConvexityConstants | None = None,
-    b_grid: Sequence[float] | None = None,
 ) -> tuple[GeodesicGraph, dict]:
     """Build the unit-edge skeleton and certify both comparison bounds.
 
@@ -183,7 +182,7 @@ def build_geodesic_graph(
     if c <= 0:
         raise NonPositiveScale(f"scale must be > 0, got {c}", c=c)
     if constants is None:
-        frontier = convexity_constants(space, c, b_grid)
+        frontier = convexity_constants(space, c)
         constants = min(frontier, key=lambda k: (k.a * c + k.b) / (c * c))
 
     net = greedy_separated_net(space, c, order)

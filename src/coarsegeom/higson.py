@@ -51,8 +51,9 @@ class BoundedFunction:
         return BoundedFunction(self.values * other.values)
 
     def compose(self, mapping: Sequence[int]) -> "BoundedFunction":
-        """Pullback along a map into this function's space."""
-        return BoundedFunction(self.values[np.asarray(mapping, dtype=np.intp)])
+        """Pullback along a map into this function's space; an id that
+        is not one of its points raises ``UnknownPoint``."""
+        return BoundedFunction(self.values[check_point_ids(len(self), mapping)])
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,16 @@ def check_disjoint_cover(
         raise PartitionGap(f"point {p} lies in no cell", witness=p)
 
 
+def parse_member_key(key):
+    """A cell key as a member id: a string spelling an int in canonical
+    decimal ("3", as JSON object keys and ``BorelPartition.to_dict``
+    write it) becomes that int; any other key is returned unchanged."""
+    try:
+        return int(key) if isinstance(key, str) and str(int(key)) == key else key
+    except ValueError:
+        return key
+
+
 def partition_from_cells(
     space: FiniteMetricSpace,
     cells: Mapping[int, Sequence[int]],
@@ -179,12 +189,14 @@ def partition_from_cells(
 ) -> BorelPartition:
     """Check cells given from outside and wrap them as a BorelPartition.
 
-    ``enumeration_order`` must list exactly the members (the keys of
-    ``cells``). Each cell must contain its member and lie within K of
-    it, and every point must lie in exactly one cell; a violation
-    raises, naming a witness point.
+    The keys of ``cells`` are the members, as ids or as their canonical
+    decimal strings; any other key raises ``UnknownPoint``.
+    ``enumeration_order`` must list exactly the members. Each cell must
+    contain its member and lie within K of it, and every point must lie
+    in exactly one cell; a violation raises, naming a witness point.
     """
-    checked = {int(x): check_point_ids(space, cell) for x, cell in cells.items()}
+    members = check_point_ids(space, [parse_member_key(k) for k in cells]).tolist()
+    checked = {x: check_point_ids(space, cell) for x, cell in zip(members, cells.values())}
     enum = check_point_ids(space, enumeration_order)
     if sorted(enum.tolist()) != sorted(checked):
         raise ValueError("enumeration order must list exactly the cell members")

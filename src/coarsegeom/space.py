@@ -56,28 +56,28 @@ def check_tolerance(tolerance) -> float:
     return value
 
 
-def check_point_ids(space: FiniteMetricSpace, ids) -> np.ndarray:
+def check_point_ids(space: FiniteMetricSpace | int, ids) -> np.ndarray:
     """Return ``ids`` (one id or a flat sequence of them) as intp if each
-    names a point of ``space``; else raise ``UnknownPoint`` naming the
-    first bad id and n. The values are checked before they are cast, so
+    names a point of ``space`` (a space, or its number of points n);
+    else raise ``UnknownPoint`` naming the first bad id and n. The values are checked before they are cast, so
     a negative id never wraps, a fractional one is never truncated, a
     large one never escapes as an ``IndexError`` and one that is not a
     number (None, a string, a nested list) never as a ``TypeError``."""
+    n = space if isinstance(space, numbers.Integral) else space.n
     raw = ids if isinstance(ids, np.ndarray) else np.array(ids, dtype=object)
     if raw.ndim > 1:
         bad = [raw[0].tolist()]
     elif raw.dtype.kind in "iuf":
-        outside = (raw < 0) | (raw >= space.n)
+        outside = (raw < 0) | (raw >= n)
         if raw.dtype.kind == "f":
             outside |= np.floor(raw) != raw
         bad = raw[outside].tolist()
     else:
         bad = [x for x in raw.ravel().tolist() if isinstance(x, bool)
-               or not (isinstance(x, numbers.Real) and 0 <= x < space.n and x == int(x))]
+               or not (isinstance(x, numbers.Real) and 0 <= x < n and x == int(x))]
     if bad:
         raise UnknownPoint(
-            f"point id {bad[0]!r} is not in a space of {space.n} points",
-            id=bad[0], n=space.n,
+            f"point id {bad[0]!r} is not in a space of {n} points", id=bad[0], n=n
         )
     return raw.astype(np.intp)
 
@@ -338,26 +338,25 @@ def _is_numeric_row(row: Iterable[str]) -> bool:
     return True
 
 
-def load_distance_matrix_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
-    """Read an n x n distance table; a non-numeric first row gives labels."""
+def _read_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
+    """The numeric rows of a CSV file as an array, and its first row if
+    that is a non-numeric header; blank lines are skipped."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    labels = None
+    header = None
     if not _is_numeric_row(rows[0]):
-        labels = [tok.strip() for tok in rows[0]]
-        rows = rows[1:]
-    table = np.array([[float(tok) for tok in row] for row in rows])
-    return table, labels
+        header, rows = rows[0], rows[1:]
+    return np.array([[float(tok) for tok in row] for row in rows]), header
+
+
+def load_distance_matrix_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
+    """Read an n x n distance table; a non-numeric first row gives labels."""
+    table, header = _read_csv(path)
+    return table, None if header is None else [tok.strip() for tok in header]
 
 
 def load_point_cloud_csv(path: str) -> np.ndarray:
     """Read one point per row; a non-numeric first row is skipped."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    if not _is_numeric_row(rows[0]):
-        rows = rows[1:]
-    return np.array([[float(tok) for tok in row] for row in rows])
+    return _read_csv(path)[0]

@@ -470,6 +470,23 @@ def test_pextend_refuses_overlapping_cells(line10_csv, tmp_path):
     assert err["witness"] == 3 and err["cells"] == [0, 3]
 
 
+@pytest.mark.parametrize("key", ["3.0", " 3", "1_0", "03", "-0"])
+def test_pextend_refuses_cell_keys_that_are_not_decimal_ids(line10_csv, tmp_path, key):
+    part_path = tmp_path / "part.json"
+    part_path.write_text(json.dumps({
+        "K": 9.0,
+        "enumeration_order": [0, 3],
+        "cells": {"0": [0, 1, 2], key: [3, 4, 5, 6, 7, 8, 9]},
+    }))
+    values_path = tmp_path / "values.csv"
+    values_path.write_text("0\n3\n")
+    result = run_cli("pextend", "--input", line10_csv, "--partition", part_path,
+                     "--values", values_path, check=False)
+    assert result.returncode == 2
+    err = json.loads(result.stderr)
+    assert (err["error"], err["keys"]) == ("MalformedInput", [f"cells.{key}"])
+
+
 def test_malformed_json_exits_2(line10_csv, tmp_path):
     spaces = ("--input", line10_csv, "--input2", line10_csv)
     path = tmp_path / "artifact.json"

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coarsegeom as cg
-from coarsegeom.errors import EmptyTail, InvalidPartition, OverlappingBalls, PartitionGap
+from coarsegeom.errors import (
+    EmptyTail,
+    InvalidPartition,
+    OverlappingBalls,
+    PartitionGap,
+    UnknownPoint,
+)
 from conftest import random_bounded_function, random_space
 
 ALGEBRA_TOL = 1e-12
@@ -84,6 +90,14 @@ def test_monotone_in_radius(seed, r1, r2):
     small = cg.expansion(space, f, lo).values
     large = cg.expansion(space, f, hi).values
     assert (small <= large + ALGEBRA_TOL).all()
+
+
+def test_compose_refuses_ids_off_the_space():
+    f = cg.BoundedFunction(np.arange(10.0))
+    assert f.compose([9, 0, 1]).values.real.tolist() == [9.0, 0.0, 1.0]
+    for mapping in ([-1, 0, 1], [0, 10], [0.5, 1], np.array([0.0, 2.5])):
+        with pytest.raises(UnknownPoint):
+            f.compose(mapping)
 
 
 @settings(max_examples=40, deadline=None)

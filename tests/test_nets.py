@@ -145,6 +145,14 @@ def test_partition_from_cells_refuses_bad_cells(line10, cells, K, error, witness
     assert err.value.payload.get("witness") == witness
 
 
+@pytest.mark.parametrize("key", [3.5, "3.0", " 3", "0_3", True])
+def test_partition_from_cells_checks_keys_before_casting(line10, key):
+    cells = {0: [0, 1, 2], key: [3, 4, 5, 6, 7, 8, 9]}
+    with pytest.raises(UnknownPoint) as err:
+        partition_from_cells(line10, cells, 9.0, [0, 3])
+    assert err.value.payload["id"] == key
+
+
 def test_net_json_round_trip(line10):
     net = cg.greedy_separated_net(line10, 2.0)
     blob = net.to_dict()
