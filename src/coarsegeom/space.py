@@ -59,10 +59,11 @@ def check_tolerance(tolerance) -> float:
 def check_point_ids(space: FiniteMetricSpace | int, ids) -> np.ndarray:
     """Return ``ids`` (one id or a flat sequence of them) as intp if each
     names a point of ``space`` (a space, or its number of points n);
-    else raise ``UnknownPoint`` naming the first bad id and n. The values are checked before they are cast, so
-    a negative id never wraps, a fractional one is never truncated, a
-    large one never escapes as an ``IndexError`` and one that is not a
-    number (None, a string, a nested list) never as a ``TypeError``."""
+    else raise ``UnknownPoint`` naming the first bad id and n. The values
+    are checked before they are cast, so a negative id never wraps, a
+    fractional one is never truncated, a large one never escapes as an
+    ``IndexError`` and one that is not a number (None, a string, a nested
+    list) never as a ``TypeError``."""
     n = space if isinstance(space, numbers.Integral) else space.n
     raw = ids if isinstance(ids, np.ndarray) else np.array(ids, dtype=object)
     if raw.ndim > 1:
@@ -345,9 +346,7 @@ def _read_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = None
-    if not _is_numeric_row(rows[0]):
-        header, rows = rows[0], rows[1:]
+    header = None if _is_numeric_row(rows[0]) else rows.pop(0)
     return np.array([[float(tok) for tok in row] for row in rows]), header
 
 
