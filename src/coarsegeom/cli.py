@@ -2,11 +2,12 @@
 
 Conventions: results go to stdout (or --output) as JSON, CSV, or DOT;
 structured error JSON goes to stderr. Exit codes: 0 success, 2 for
-validation or precondition failures, 64 for usage errors, 66 for I/O
-errors. Each JSON artifact (net, partition, bijection, pair, mapping)
-has one reader, which checks its keys and value types before use. The
-only randomness is the optional --order-seed permutation for greedy
-scans, so identical invocations produce identical bytes.
+validation or precondition failures, 64 for usage errors (a number that
+is not finite and in range among them), 66 for I/O errors. Each JSON
+artifact (net, partition, bijection, pair, mapping) has one reader,
+which checks its keys and value types before use. The only randomness
+is the optional --order-seed permutation for greedy scans, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
     check_point_ids,
-    check_tolerance,
+    check_scale,
     from_distance_matrix,
     from_point_cloud,
     load_distance_matrix_csv,
@@ -82,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance_arg(text: str) -> float:
     try:
-        return check_tolerance(text)
+        return check_scale(text, "tolerance")
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 
@@ -93,7 +94,7 @@ def _env_tolerance(parser: argparse.ArgumentParser) -> float:
     if not raw:
         return DEFAULT_TOLERANCE
     try:
-        return check_tolerance(raw)
+        return check_scale(raw, "tolerance")
     except ValueError as err:
         parser.error(f"{TOLERANCE_ENV}: {err}")
 

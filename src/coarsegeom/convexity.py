@@ -22,13 +22,9 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
-from .errors import (
-    GraphDisconnected,
-    NonPositiveScale,
-    NotQuasiConvexAtScale,
-)
+from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
-from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, check_bounds
+from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, check_bounds, check_scale
 
 
 @dataclass(frozen=True)
@@ -78,8 +74,7 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
 
     Zero-length steps (pseudo-metric duplicates) are legitimate edges.
     """
-    if c <= 0:
-        raise NonPositiveScale(f"step bound must be > 0, got {c}", c=c)
+    c = check_scale(c, "step bound c", positive=True)
     weights = np.where(space.dist <= c, space.dist, np.inf)
     np.fill_diagonal(weights, np.inf)
     graph = csgraph_from_dense(weights, null_value=np.inf)
@@ -87,7 +82,7 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
         graph, method="D", directed=False, return_predecessors=True
     )
     np.fill_diagonal(table, 0.0)
-    return ChainMetric(c=float(c), table=table, predecessors=pred)
+    return ChainMetric(c=c, table=table, predecessors=pred)
 
 
 def convexity_constants(
@@ -102,6 +97,7 @@ def convexity_constants(
     pair (clamped below at 1); pairs dominated by a smaller b with the
     same slope are dropped.
     """
+    c = check_scale(c, "scale c", positive=True)
     cm = chains if chains is not None else chain_metric(space, c)
     if not cm.is_connected():
         i, j = np.argwhere(~np.isfinite(cm.table))[0]
@@ -114,9 +110,7 @@ def convexity_constants(
         b_grid = [0.0, c / 2.0, c, 2.0 * c, 4.0 * c]
     positive = space.dist > 0
     frontier: list[ConvexityConstants] = []
-    for b in sorted(float(b) for b in b_grid):
-        if b < 0:
-            raise ValueError(f"offsets in b_grid must be >= 0, got {b}")
+    for b in sorted(check_scale(b, "offset b") for b in b_grid):
         if positive.any():
             with np.errstate(invalid="ignore", divide="ignore"):
                 slopes = np.where(positive, (cm.table - b) / space.dist, -np.inf)
@@ -130,7 +124,7 @@ def convexity_constants(
             f"constants (a={a}, b={b}) fail certification by {defect:g}",
             {"defect": (0.0, defect)},
         )
-        frontier.append(ConvexityConstants(a=a, b=b, c=float(c)))
+        frontier.append(ConvexityConstants(a=a, b=b, c=c))
     return frontier
 
 
@@ -179,11 +173,11 @@ def build_geodesic_graph(
     metric, choosing the frontier pair minimizing the claimed slope
     (a*c + b) / c^2.
     """
-    if c <= 0:
-        raise NonPositiveScale(f"scale must be > 0, got {c}", c=c)
+    c = check_scale(c, "scale c", positive=True)
     if constants is None:
         frontier = convexity_constants(space, c)
         constants = min(frontier, key=lambda k: (k.a * c + k.b) / (c * c))
+    a, b = check_scale(constants.a, "constant a"), check_scale(constants.b, "constant b")
 
     net = greedy_separated_net(space, c, order)
     members = net.members
@@ -205,7 +199,7 @@ def build_geodesic_graph(
             witness=[int(members[i]), int(members[j])],
         )
 
-    slope = (constants.a * c + constants.b) / (c * c)
+    slope = (a * c + b) / (c * c)
     upper_defect = float((hop - slope * sub)[off].max(initial=-math.inf))
     lower_defect = float((sub - 3.0 * c * hop)[off].max(initial=-math.inf))
     report = {
@@ -221,7 +215,7 @@ def build_geodesic_graph(
         {"upper_defect": (0.0, upper_defect), "lower_defect": (0.0, lower_defect)},
         **report,
     )
-    graph = GeodesicGraph(vertices=net, edges=edges, hop=hop, c=float(c))
+    graph = GeodesicGraph(vertices=net, edges=edges, hop=hop, c=c)
     return graph, report
 
 
@@ -234,6 +228,6 @@ def ls_constants_from_expansive(
     S is the expansiveness modulus at radius c; (a, b, c) the
     quasi-convexity constants of the domain.
     """
-    if c <= 0:
-        raise NonPositiveScale(f"scale must be > 0, got {c}", c=c)
+    c = check_scale(c, "scale c", positive=True)
+    S, a, b = check_scale(S, "S"), check_scale(a, "a"), check_scale(b, "b")
     return 4.0 * a * S / c, 4.0 * b * S / c + S

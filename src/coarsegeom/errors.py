@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-Every error carries a ``payload`` dict with machine-readable witnesses
-(offending indices, measured values) so the CLI can emit structured
-error reports.
+Every ``CoarseGeomError`` carries a ``payload`` dict with
+machine-readable witnesses (offending indices, measured values) so the
+CLI can emit structured error reports.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Any
 
 
 class CoarseGeomError(Exception):
-    """Base class for all library errors."""
+    """Base class for the library's precondition and certificate errors."""
 
     def __init__(self, message: str, **payload: Any):
         super().__init__(message)
@@ -23,6 +23,11 @@ class CoarseGeomError(Exception):
             "message": str(self),
             **self.payload,
         }
+
+
+class NonPositiveScale(ValueError):
+    """A tolerance, radius, scale or constant out of range (``space.check_scale``):
+    a usage error with no payload, since its value may be nan."""
 
 
 # --- distance table validation ---
@@ -123,10 +128,6 @@ class NotQuasiConvexAtScale(CoarseGeomError):
 
 
 class GraphDisconnected(CoarseGeomError):
-    pass
-
-
-class NonPositiveScale(CoarseGeomError):
     pass
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, check_disjoint_cover
-from .space import FiniteMetricSpace, check_point_ids
+from .space import FiniteMetricSpace, check_point_ids, check_scale
 
 _CHUNK = 256
 
@@ -85,7 +85,7 @@ class DecayProfile:
 
         A numerical verdict about this truncation only.
         """
-        return self.final_level() <= threshold
+        return self.final_level() <= check_scale(threshold, "threshold")
 
     def to_dict(self) -> dict:
         return {
@@ -97,8 +97,7 @@ class DecayProfile:
 
 def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> ExpansionField:
     """Exact r-expansion: max of |f(x) - f(y)| over the closed r-ball of x."""
-    if r < 0:
-        raise ValueError(f"expansion radius must be >= 0, got {r}")
+    r = check_scale(r, "expansion radius r")
     if len(f) != space.n:
         raise ValueError(f"function has {len(f)} values for {space.n} points")
     vals = f.values
@@ -110,7 +109,7 @@ def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> Expansi
         within = space.dist[lo:hi] <= r
         diff = np.abs(vals[lo:hi, None] - vals[None, :])
         out[lo:hi] = np.where(within, diff, 0.0).max(axis=1)
-    return ExpansionField(r=float(r), values=out)
+    return ExpansionField(r=r, values=out)
 
 
 def decay_profile(
@@ -122,11 +121,12 @@ def decay_profile(
     field_cache: ExpansionField | None = None,
 ) -> DecayProfile:
     """Suprema of grad_r f over the tails {x : d(x, base) >= rho}."""
+    r = check_scale(r, "expansion radius r")
     check_point_ids(space, base)
     if rho_grid is None:
         ecc = float(space.dist[base].max())
         rho_grid = [ecc * t for t in (0.0, 0.25, 0.5, 0.75, 0.9)]
-    rhos = [float(rho) for rho in rho_grid]
+    rhos = [check_scale(rho, "tail radius rho") for rho in rho_grid]
     if sorted(rhos) != rhos:
         raise ValueError("rho grid must be increasing")
     exp_field = field_cache if field_cache is not None else expansion(space, f, r)
@@ -141,7 +141,7 @@ def decay_profile(
         (rho, float(exp_field.values[from_base >= rho].max()))
         for rho in rhos
     ]
-    return DecayProfile(r=float(r), base=int(base), samples=samples)
+    return DecayProfile(r=r, base=int(base), samples=samples)
 
 
 def bump_function(
@@ -159,13 +159,11 @@ def bump_function(
     of the construction.
     """
     ctr = check_point_ids(space, centers)
-    rad = np.asarray(radii, dtype=np.float64)
+    rad = np.array([check_scale(r, "bump radius", positive=True) for r in radii])
     if ctr.size != rad.size:
         raise ValueError(f"{ctr.size} centers for {rad.size} radii")
     if ctr.size == 0:
         raise ValueError("at least one ball is required")
-    if (rad <= 0).any():
-        raise ValueError("radii must be positive")
     if (np.diff(rad) < 0).any():
         raise ValueError("radii must be nondecreasing")
     if base is not None:

@@ -26,6 +26,7 @@ from .errors import (
     CertificateError,
     InjectivityFailure,
     NetCoverViolation,
+    NonPositiveScale,
     NotBijective,
     NotDense,
     SizeMismatch,
@@ -37,6 +38,7 @@ from .space import (
     FiniteMetricSpace,
     check_bounds,
     check_point_ids,
+    check_scale,
     cover_witness,
 )
 
@@ -116,10 +118,9 @@ class LargeScaleMap:
         arr = np.asarray(self.mapping, dtype=np.intp).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "mapping", arr)
-        if self.lam < 1.0:
-            raise ValueError(f"lambda must be >= 1, got {self.lam}")
-        if self.c < 0.0:
-            raise ValueError(f"additive constant must be >= 0, got {self.c}")
+        if check_scale(self.lam, "lambda") < 1.0:
+            raise NonPositiveScale(f"lambda must be a finite number >= 1, got {self.lam!r}")
+        check_scale(self.c, "additive constant c")
 
     def __call__(self, x: int) -> int:
         return int(self.mapping[x])
@@ -136,7 +137,8 @@ def large_scale_map(
     c: float,
 ) -> LargeScaleMap:
     """Build a LargeScaleMap, certifying the claimed (lam, c) exhaustively."""
-    slack, (x, y) = additive_slack(dom, rng, mapping, lam)
+    f = LargeScaleMap(_mapping_array(dom, rng, mapping), lam, c)
+    slack, (x, y) = additive_slack(dom, rng, f.mapping, lam)
     check_bounds(
         f"claimed (lambda={lam}, c={c}) fails at pair ({x},{y}): "
         f"needs c >= {slack:g}",
@@ -144,7 +146,7 @@ def large_scale_map(
         pair=[x, y],
         required_c=slack,
     )
-    return LargeScaleMap(np.asarray(mapping, dtype=np.intp), lam, c)
+    return f
 
 
 @dataclass(frozen=True)
@@ -175,6 +177,7 @@ def certify_equivalence(
     dom: FiniteMetricSpace, rng: FiniteMetricSpace, pair: EquivalencePair
 ) -> dict:
     """Re-measure an EquivalencePair's claimed constants; raise on failure."""
+    check_scale(pair.closeness, "closeness R")
     slack_f, wf = additive_slack(dom, rng, pair.forward.mapping, pair.forward.lam)
     slack_b, wb = additive_slack(rng, dom, pair.backward.mapping, pair.backward.lam)
     round_dom, _ = displacement(dom, pair.backward.mapping[pair.forward.mapping])
@@ -343,7 +346,7 @@ def make_net_bijection(
         range_net=range_net,
         image=img,
         distortion=measure_distortion(dom, rng, domain_net.members, img),
-        K=float(joint_K),
+        K=check_scale(joint_K, "K"),
     )
 
 
@@ -414,9 +417,8 @@ def restrict_equivalence(
     range cover radius, the bi-Lipschitz bound, and the pairwise
     inequality d(x,y) <= lambda*d'(fx,fy) + 2R + c on all of the domain.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    lam, c, R = pair.lam, pair.c, pair.closeness
+    epsilon = check_scale(epsilon, "epsilon", positive=True)
+    lam, c, R = pair.lam, pair.c, check_scale(pair.closeness, "closeness R")
     phi = pair.forward.mapping
 
     threshold = 2.0 * R + c + epsilon
@@ -478,6 +480,7 @@ def closeness_gap(
 ) -> float | None:
     """Least s making f and g (r, s)-close, or None if the nets are not
     mutually r-dense."""
+    r = check_scale(r, "r")
     a, b = f.domain_net.members, g.domain_net.members
     d_nets = dom.dist[np.ix_(a, b)]
     if float(d_nets.min(axis=1).max()) > r:
@@ -496,7 +499,8 @@ def _profile(
 ) -> list[tuple[float, float]]:
     """(R, max of ``reach`` over the entries where ``within`` <= R) per
     grid R, 0 where there are none."""
-    return [(float(r), float(reach[within <= r].max(initial=0.0))) for r in grid]
+    radii = [check_scale(r, "radius") for r in grid]
+    return [(r, float(reach[within <= r].max(initial=0.0))) for r in radii]
 
 
 def expansiveness_profile(
@@ -539,6 +543,7 @@ def quasi_inverse(
     Requires the image of ``mapping`` to be N-dense; the selection is
     the first qualifying preimage point in ``order``.
     """
+    N = check_scale(N, "N")
     m = _mapping_array(dom, rng, mapping)
     scan = np.arange(dom.n) if order is None else check_point_ids(dom, order)
     hits = rng.dist[m[scan], :] <= N

@@ -25,6 +25,7 @@ from .errors import (
 from .space import (
     FiniteMetricSpace,
     check_point_ids,
+    check_scale,
     cover_radius_of,
     cover_witness,
     separation_of,
@@ -109,10 +110,11 @@ def net_from_members(
     space: FiniteMetricSpace, members: Sequence[int], K: float
 ) -> Net:
     """Wrap an explicit member set as a Net, measuring delta and cover."""
+    K = check_scale(K, "K")
     arr = check_point_ids(space, members)
     delta = separation_of(space, arr) if arr.size >= 2 else math.inf
     cover = cover_radius_of(space, arr)
-    return Net(members=arr, K=float(K), delta=delta, cover_radius=cover)
+    return Net(members=arr, K=K, delta=delta, cover_radius=cover)
 
 
 def greedy_separated_net(
@@ -127,8 +129,7 @@ def greedy_separated_net(
     member set depends on ``order`` but the separation and cover
     properties do not.
     """
-    if K <= 0:
-        raise ValueError(f"net scale K must be > 0, got {K}")
+    K = check_scale(K, "K", positive=True)
     return net_from_members(space, _greedy_scan(space, _as_order(space, order), K), K)
 
 
@@ -139,8 +140,7 @@ def refine_net(space: FiniteMetricSpace, net: Net, K: float) -> Net:
     order); each dropped member stays within K of a kept one, so the
     cover radius at most doubles.
     """
-    if K <= 0:
-        raise ValueError(f"net scale K must be > 0, got {K}")
+    K = check_scale(K, "K", positive=True)
     cover, worst = cover_witness(space, net.members)
     if cover > K:
         raise NotANet(
@@ -195,6 +195,7 @@ def partition_from_cells(
     contain its member and lie within K of it, and every point must lie
     in exactly one cell; a violation raises, naming a witness point.
     """
+    K = check_scale(K, "K")
     members = check_point_ids(space, [parse_member_key(k) for k in cells]).tolist()
     checked = {x: check_point_ids(space, cell) for x, cell in zip(members, cells.values())}
     enum = check_point_ids(space, enumeration_order)
@@ -215,7 +216,7 @@ def partition_from_cells(
                 witness=int(far[0]),
             )
     check_disjoint_cover(space.n, checked, enum)
-    return BorelPartition(cells=checked, K=float(K), enumeration_order=enum)
+    return BorelPartition(cells=checked, K=K, enumeration_order=enum)
 
 
 def borel_partition(
@@ -231,6 +232,7 @@ def borel_partition(
     unclaimed. Points equidistant to several members therefore land
     with the earliest claimant.
     """
+    K = check_scale(K, "K")
     members = net.members if isinstance(net, Net) else check_point_ids(space, net)
     enum = members if order is None else check_point_ids(space, order)
     if sorted(enum.tolist()) != sorted(members.tolist()):
@@ -258,4 +260,4 @@ def borel_partition(
             witness=missing,
             K=K,
         )
-    return BorelPartition(cells=cells, K=float(K), enumeration_order=enum)
+    return BorelPartition(cells=cells, K=K, enumeration_order=enum)

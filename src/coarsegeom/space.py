@@ -25,6 +25,7 @@ from .errors import (
     NegativeEntryError,
     NonFiniteCoordinate,
     NonFiniteEntry,
+    NonPositiveScale,
     TooFewPoints,
     TriangleError,
     UnknownPoint,
@@ -39,21 +40,20 @@ _CDIST_METRIC = {
 }
 
 
-def check_tolerance(tolerance) -> float:
-    """Return ``tolerance`` as a float if it is a finite number >= 0.
-
-    Anything else raises ``ValueError`` naming the value: under ``nan``
-    every ``> tolerance`` comparison is false and validation passes
-    everything, ``inf`` accepts any finite table, and a negative value
-    rejects even exact zeros.
-    """
+def check_scale(value, name: str, positive: bool = False) -> float:
+    """Return ``value`` as a float if it is a finite number >= 0 (> 0 when
+    ``positive``), else raise ``NonPositiveScale`` naming ``name`` and the
+    value. This is the one range rule for every tolerance, radius, scale
+    and constant a caller passes: under nan every ``<=`` is false, so a
+    nan bound would silently pass or refuse everything."""
     try:
-        value = float(tolerance)
+        number = float(value)
     except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
-    return value
+        number = math.nan
+    if not (math.isfinite(number) and (number > 0.0 if positive else number >= 0.0)):
+        bound = "> 0" if positive else ">= 0"
+        raise NonPositiveScale(f"{name} must be a finite number {bound}, got {value!r}")
+    return number
 
 
 def check_point_ids(space: FiniteMetricSpace | int, ids) -> np.ndarray:
@@ -199,9 +199,9 @@ def from_distance_matrix(
     raise, naming an offending pair or triple; deviations within
     tolerance are repaired (entries clamped, table symmetrized as
     ``(t + t.T) / 2``, diagonal zeroed). ``tolerance`` must be a
-    finite number >= 0 (see :func:`check_tolerance`).
+    finite number >= 0 (see :func:`check_scale`).
     """
-    tolerance = check_tolerance(tolerance)
+    tolerance = check_scale(tolerance, "tolerance")
     arr = np.asarray(table, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"distance table must be square, got shape {arr.shape}")
@@ -296,8 +296,7 @@ def line_space(n: int) -> FiniteMetricSpace:
 
 def closed_ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:
     """Indices of the closed ball {y : d(x,y) <= radius}, sorted."""
-    if radius < 0:
-        raise ValueError(f"ball radius must be >= 0, got {radius}")
+    radius = check_scale(radius, "ball radius")
     return np.flatnonzero(space.dist[check_point_ids(space, x)] <= radius)
 
 

@@ -597,6 +597,33 @@ def test_each_subcommand_offers_the_formats_it_writes(command, argv_on_line10):
         assert "invalid choice" in result.stderr
 
 
+_NUMBER_FLAGS = [
+    ("net", "--K"), ("refine", "--K"), ("partition", "--K"),
+    ("closeness", "--r"), ("expansion", "--r"), ("decay", "--r"),
+    ("chain", "--c"), ("convexity", "--c"), ("graph", "--c"),
+    ("restrict", "--epsilon"), ("bump", "--radii"),
+    ("profile", "--grid"), ("decay", "--grid"), ("convexity", "--b-grid"),
+    ("decay", "--threshold"), ("graph", "--a"), ("graph", "--b"),
+]
+
+
+@pytest.mark.parametrize("command,flag", _NUMBER_FLAGS)
+def test_numbers_out_of_range_exit_64(command, flag, argv_on_line10, tmp_path):
+    argv = list(argv_on_line10[command])
+    if flag not in argv:
+        argv += ["--a", 1, "--b", 1] if flag in ("--a", "--b") else [flag, 1]
+    at = argv.index(flag) + 1
+    run_cli(command, *argv)  # in range, the invocation succeeds
+    out = tmp_path / "out"
+    for bad in ["nan", "inf", "-1"]:
+        argv[at] = bad
+        result = run_cli(command, *argv, "--output", out, check=False)
+        assert result.returncode == 64, (bad, result.stderr)
+        assert result.stderr.startswith("coarsegeom: error:")
+        assert "Traceback" not in result.stderr and f"got {float(bad)!r}" in result.stderr
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [-1, 42])
 def test_profile_mapping_ids_are_checked(line10_csv, tmp_path, bad):
     map_path = tmp_path / "map.json"

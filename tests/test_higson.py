@@ -6,6 +6,7 @@ import coarsegeom as cg
 from coarsegeom.errors import (
     EmptyTail,
     InvalidPartition,
+    NonPositiveScale,
     OverlappingBalls,
     PartitionGap,
     UnknownPoint,
@@ -138,6 +139,15 @@ def test_constant_decay_is_flat_zero(line10):
     f = cg.BoundedFunction(np.ones(10))
     profile = cg.decay_profile(line10, f, 2.0, 0, [0, 3, 6])
     assert all(level == 0.0 for _, level in profile.samples)
+
+
+def test_nan_radius_gives_no_higson_verdict(line10):
+    # r = nan made every ball empty, so x^2 looked numerically Higson
+    f = cg.BoundedFunction(np.arange(10.0) ** 2)
+    with pytest.raises(NonPositiveScale, match="radius r"):
+        cg.decay_profile(line10, f, np.nan, 0)
+    with pytest.raises(NonPositiveScale, match="threshold"):
+        cg.decay_profile(line10, f, 1.0, 0).is_numerically_higson(np.nan)
 
 
 def test_decay_requires_nonempty_tail(line10):

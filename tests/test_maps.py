@@ -12,6 +12,7 @@ from coarsegeom.errors import (
     InjectivityFailure,
     NetCoverViolation,
     NotBijective,
+    NonPositiveScale,
     NotDense,
     SizeMismatch,
     TooLarge,
@@ -80,6 +81,22 @@ def test_additive_slack_witness(line10):
     slack, (x, y) = cg.additive_slack(line10, line10, jump, 1.0)
     assert slack == 4.0
     assert line10.d(jump[x], jump[y]) - line10.d(x, y) == slack
+
+
+def test_nan_constants_certify_nothing(line10):
+    # under nan every gap comparison is false, so each of these passed
+    far = [0, 9] * 5
+    with pytest.raises(NonPositiveScale, match="lambda"):
+        cg.large_scale_map(line10, line10, far, math.nan, 0.0)
+    with pytest.raises(NonPositiveScale, match="lambda"):
+        lying = cg.LargeScaleMap(far, math.nan, 0.0)
+        cg.certify_equivalence(line10, line10, cg.EquivalencePair(lying, lying, 9.0))
+    ident = cg.LargeScaleMap(np.arange(10), 1.0, 0.0)
+    with pytest.raises(NonPositiveScale, match="closeness"):
+        cg.certify_equivalence(line10, line10, cg.EquivalencePair(ident, ident, math.nan))
+    f = identity_bijection(line10, 2.0)
+    with pytest.raises(NonPositiveScale, match="r must be"):
+        cg.closeness_gap(line10, line10, f, f, math.nan)
 
 
 # --- extension (net bijection -> equivalence) ---

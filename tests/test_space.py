@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coarsegeom as cg
+from coarsegeom.nets import partition_from_cells
 from coarsegeom.errors import (
     AsymmetryError,
     DiagonalError,
     NegativeEntryError,
     NonFiniteEntry,
+    NonPositiveScale,
     TooFewPoints,
     TriangleError,
     UnknownPoint,
@@ -86,6 +88,77 @@ def test_tolerance_must_be_finite_nonnegative(tolerance):
     # the table breaks the triangle inequality; nan and inf would let it through
     with pytest.raises(ValueError, match=f"got {tolerance!r}"):
         cg.from_distance_matrix([[0, 5, 1], [5, 0, 1], [1, 1, 0]], tolerance=tolerance)
+
+
+def _scale_calls():
+    """name -> (call taking one number, whether it must be > 0): every public
+    function or constructor that takes a tolerance, radius, scale or
+    constant, each passing its number through ``space.check_scale``."""
+    line = cg.line_space(10)
+    net = cg.net_from_members(line, range(10), 0.0)
+    ident = cg.LargeScaleMap(np.arange(10), 1.0, 0.0)
+    bij = cg.make_net_bijection(line, line, net, net, net.members)
+    fn = cg.BoundedFunction(np.arange(10.0) ** 2)
+    tri = [[0, 5, 1], [5, 0, 1], [1, 1, 0]]
+    return {
+        "from_distance_matrix.tolerance": (lambda v: cg.from_distance_matrix(tri, v), False),
+        "closed_ball.radius": (lambda v: cg.closed_ball(line, 0, v), False),
+        "greedy_separated_net.K": (lambda v: cg.greedy_separated_net(line, v), True),
+        "refine_net.K": (lambda v: cg.refine_net(line, net, v), True),
+        "net_from_members.K": (lambda v: cg.net_from_members(line, [0, 5], v), False),
+        "make_net_bijection.K": (
+            lambda v: cg.make_net_bijection(line, line, net, net, net.members, K=v), False),
+        "borel_partition.K": (lambda v: cg.borel_partition(line, [0, 3, 6, 9], v), False),
+        "partition_from_cells.K": (lambda v: partition_from_cells(
+            line, {x: [x] for x in range(10)}, v, range(10)), False),
+        "LargeScaleMap.lam": (lambda v: cg.LargeScaleMap(np.arange(10), v, 0.0), True),
+        "LargeScaleMap.c": (lambda v: cg.LargeScaleMap(np.arange(10), 1.0, v), False),
+        "large_scale_map.lam": (
+            lambda v: cg.large_scale_map(line, line, np.arange(10), v, 0.0), True),
+        "large_scale_map.c": (
+            lambda v: cg.large_scale_map(line, line, np.arange(10), 1.0, v), False),
+        "certify_equivalence.closeness": (lambda v: cg.certify_equivalence(
+            line, line, cg.EquivalencePair(ident, ident, v)), False),
+        "restrict_equivalence.closeness": (lambda v: cg.restrict_equivalence(
+            line, line, cg.EquivalencePair(ident, ident, v), 1.0), False),
+        "restrict_equivalence.epsilon": (lambda v: cg.restrict_equivalence(
+            line, line, cg.EquivalencePair(ident, ident, 0.0), v), True),
+        "closeness_gap.r": (lambda v: cg.closeness_gap(line, line, bij, bij, v), False),
+        "quasi_inverse.N": (lambda v: cg.quasi_inverse(line, line, np.arange(10), v), False),
+        "expansiveness_profile.grid": (
+            lambda v: cg.expansiveness_profile(line, line, np.arange(10), [v]), False),
+        "properness_profile.grid": (
+            lambda v: cg.properness_profile(line, line, np.arange(10), [v]), False),
+        "expansion.r": (lambda v: cg.expansion(line, fn, v), False),
+        "decay_profile.r": (lambda v: cg.decay_profile(line, fn, v, 0), False),
+        "decay_profile.rho_grid": (lambda v: cg.decay_profile(line, fn, 1.0, 0, [v]), False),
+        "is_numerically_higson.threshold": (
+            lambda v: cg.decay_profile(line, fn, 1.0, 0).is_numerically_higson(v), False),
+        "bump_function.radii": (lambda v: cg.bump_function(line, [4], [v]), True),
+        "chain_metric.c": (lambda v: cg.chain_metric(line, v), True),
+        "convexity_constants.c": (lambda v: cg.convexity_constants(line, v), True),
+        "convexity_constants.b_grid": (
+            lambda v: cg.convexity_constants(line, 1.0, [v]), False),
+        "build_geodesic_graph.c": (lambda v: cg.build_geodesic_graph(line, v), True),
+        "build_geodesic_graph.a": (lambda v: cg.build_geodesic_graph(
+            line, 1.0, constants=cg.ConvexityConstants(a=v, b=1.0, c=1.0)), False),
+        "build_geodesic_graph.b": (lambda v: cg.build_geodesic_graph(
+            line, 1.0, constants=cg.ConvexityConstants(a=1.0, b=v, c=1.0)), False),
+        **{f"ls_constants_from_expansive.{name}": (
+            lambda v, i=i: cg.ls_constants_from_expansive(
+                *[v if j == i else 1.0 for j in range(4)]), name == "c")
+           for i, name in enumerate(["S", "a", "b", "c"])},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_scale_calls()))
+def test_every_scale_and_constant_is_finite_and_in_range(name):
+    call, positive = _scale_calls()[name]
+    if name != "from_distance_matrix.tolerance":
+        call(1.0)  # an in-range value passes
+    for bad in [np.nan, np.inf, -np.inf, -1.0, *([0.0] if positive else [])]:
+        with pytest.raises(NonPositiveScale, match="must be a finite number"):
+            call(bad)
 
 
 def test_nonfinite_entry_rejected():
