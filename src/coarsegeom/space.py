@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     AsymmetryError,
@@ -33,7 +33,7 @@ from .errors import (
 
 DEFAULT_TOLERANCE = 1e-9
 
-_CDIST_METRIC = {
+_SCIPY_METRIC = {
     "euclidean": "euclidean",
     "manhattan": "cityblock",
     "chebyshev": "chebyshev",
@@ -276,16 +276,15 @@ def from_point_cloud(
     if not np.isfinite(pts).all():
         i = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0][0])
         raise NonFiniteCoordinate(f"non-finite coordinate in point {i}", point=i)
-    if metric_kind not in _CDIST_METRIC:
+    if metric_kind not in _SCIPY_METRIC:
         raise ValueError(
             f"unknown metric kind {metric_kind!r}; "
-            f"expected one of {sorted(_CDIST_METRIC)}"
+            f"expected one of {sorted(_SCIPY_METRIC)}"
         )
-    dist = cdist(pts, pts, metric=_CDIST_METRIC[metric_kind])
-    # exact symmetry and zero diagonal regardless of floating round-off
-    dist = (dist + dist.T) / 2.0
-    np.fill_diagonal(dist, 0.0)
-    return FiniteMetricSpace(dist)
+    # symmetric with a zero diagonal by construction; squareform reads an
+    # empty distance list as one point, so an empty cloud is cut to 0 x 0
+    dist = squareform(pdist(pts, metric=_SCIPY_METRIC[metric_kind]))
+    return FiniteMetricSpace(dist[: len(pts), : len(pts)])
 
 
 def line_space(n: int) -> FiniteMetricSpace:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 import coarsegeom as cg
 from coarsegeom.nets import partition_from_cells
@@ -175,6 +176,30 @@ def test_point_cloud_norms():
     assert cg.from_point_cloud([[0, 0], [3, 4]]).d(0, 1) == 5.0
     assert cg.from_point_cloud([[0, 0], [3, 4]], "manhattan").d(0, 1) == 7.0
     assert cg.from_point_cloud([[0, 0], [3, 4]], "chebyshev").d(0, 1) == 4.0
+
+
+def _old_point_cloud_table(pts, metric):
+    """The table from_point_cloud built before: cdist, then a symmetrizing
+    copy and a zeroed diagonal."""
+    dist = cdist(pts, pts, metric=metric)
+    dist = (dist + dist.T) / 2.0
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+@pytest.mark.parametrize("kind,metric", [
+    ("euclidean", "euclidean"), ("manhattan", "cityblock"), ("chebyshev", "chebyshev")])
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+def test_point_cloud_table_is_bit_identical_to_the_cdist_build(kind, metric, dim):
+    rng = np.random.default_rng(dim)
+    for n in [0, 1, 2, 5, 60, 400]:
+        pts = rng.uniform(-100.0, 100.0, size=(n, dim))
+        if n >= 4:
+            pts[3] = pts[1]  # a duplicate point
+        got = cg.from_point_cloud(pts, kind).dist
+        want = _old_point_cloud_table(pts, metric)
+        assert got.shape == want.shape == (n, n)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_point_cloud_rejects_nan():
