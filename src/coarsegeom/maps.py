@@ -32,7 +32,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .nets import Net, greedy_separated_net, net_from_members
+from .nets import Net, _as_order, greedy_separated_net, net_from_members
 from .space import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
@@ -541,11 +541,11 @@ def quasi_inverse(
     """Pick psi with d'(f(psi(x')), x') <= N for every x' in the range space.
 
     Requires the image of ``mapping`` to be N-dense; the selection is
-    the first qualifying preimage point in ``order``.
+    the first qualifying preimage point in ``order``, a permutation.
     """
     N = check_scale(N, "N")
     m = _mapping_array(dom, rng, mapping)
-    scan = np.arange(dom.n) if order is None else check_point_ids(dom, order)
+    scan = _as_order(dom, order)
     hits = rng.dist[m[scan], :] <= N
     covered = hits.any(axis=0)
     if not covered.all():

@@ -190,13 +190,17 @@ def partition_from_cells(
     """Check cells given from outside and wrap them as a BorelPartition.
 
     The keys of ``cells`` are the members, as ids or as their canonical
-    decimal strings; any other key raises ``UnknownPoint``.
+    decimal strings; any other key raises ``UnknownPoint``, and two keys
+    naming one member (3 and "3") raise ``InvalidPartition``.
     ``enumeration_order`` must list exactly the members. Each cell must
     contain its member and lie within K of it, and every point must lie
     in exactly one cell; a violation raises, naming a witness point.
     """
     K = check_scale(K, "K")
     members = check_point_ids(space, [parse_member_key(k) for k in cells]).tolist()
+    if len(set(members)) != len(members):
+        x = next(x for x in members if members.count(x) > 1)
+        raise InvalidPartition(f"two cell keys name member {x}", member=x)
     checked = {x: check_point_ids(space, cell) for x, cell in zip(members, cells.values())}
     enum = check_point_ids(space, enumeration_order)
     if sorted(enum.tolist()) != sorted(checked):

@@ -281,8 +281,7 @@ def from_point_cloud(
             f"unknown metric kind {metric_kind!r}; "
             f"expected one of {sorted(_SCIPY_METRIC)}"
         )
-    # symmetric with a zero diagonal by construction; squareform reads an
-    # empty distance list as one point, so an empty cloud is cut to 0 x 0
+    # symmetric with zero diagonal by construction; [:n, :n] keeps n = 0 empty
     dist = squareform(pdist(pts, metric=_SCIPY_METRIC[metric_kind]))
     return FiniteMetricSpace(dist[: len(pts), : len(pts)])
 

@@ -355,6 +355,13 @@ def test_quasi_inverse_not_dense(line10):
     assert err.value.payload["witness"] == 4
 
 
+def test_quasi_inverse_order_must_be_a_permutation(line10):
+    # [0] * 10 scanned point 0 only and raised NotDense with a witness
+    # lying at distance 0 from the image
+    with pytest.raises(ValueError, match="permutation"):
+        cg.quasi_inverse(line10, line10, np.arange(10), 0.0, order=[0] * 10)
+
+
 def test_quasi_inverse_respects_order(line10):
     evens = cg.from_point_cloud([[2.0 * i] for i in range(5)])
     mapping = [0, 2, 4, 6, 8]

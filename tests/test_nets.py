@@ -153,6 +153,13 @@ def test_partition_from_cells_checks_keys_before_casting(line10, key):
     assert err.value.payload["id"] == key
 
 
+def test_partition_from_cells_refuses_two_keys_for_one_member(line10):
+    # the second cell silently replaced the first, leaving a one-cell partition
+    with pytest.raises(InvalidPartition) as err:
+        partition_from_cells(line10, {3: range(10), "3": range(10)}, 9.0, [3])
+    assert err.value.payload["member"] == 3
+
+
 def test_net_json_round_trip(line10):
     net = cg.greedy_separated_net(line10, 2.0)
     blob = net.to_dict()
