@@ -100,9 +100,9 @@ def _scale_calls():
     ident = cg.LargeScaleMap(np.arange(10), 1.0, 0.0)
     bij = cg.make_net_bijection(line, line, net, net, net.members)
     fn = cg.BoundedFunction(np.arange(10.0) ** 2)
-    tri = [[0, 5, 1], [5, 0, 1], [1, 1, 0]]
     return {
-        "from_distance_matrix.tolerance": (lambda v: cg.from_distance_matrix(tri, v), False),
+        "from_distance_matrix.tolerance": (
+            lambda v: cg.from_distance_matrix(line.dist, v), False),
         "closed_ball.radius": (lambda v: cg.closed_ball(line, 0, v), False),
         "greedy_separated_net.K": (lambda v: cg.greedy_separated_net(line, v), True),
         "refine_net.K": (lambda v: cg.refine_net(line, net, v), True),
@@ -155,8 +155,7 @@ def _scale_calls():
 @pytest.mark.parametrize("name", sorted(_scale_calls()))
 def test_every_scale_and_constant_is_finite_and_in_range(name):
     call, positive = _scale_calls()[name]
-    if name != "from_distance_matrix.tolerance":
-        call(1.0)  # an in-range value passes
+    call(1.0)  # an in-range value passes
     for bad in [np.nan, np.inf, -np.inf, -1.0, *([0.0] if positive else [])]:
         with pytest.raises(NonPositiveScale, match="must be a finite number"):
             call(bad)
