@@ -18,9 +18,7 @@ import numpy as np
 
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, check_disjoint_cover
-from .space import FiniteMetricSpace, check_point_ids, check_scale
-
-_CHUNK = 256
+from .space import BLOCK_ROWS, FiniteMetricSpace, check_point_ids, check_scale
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,8 @@ def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> Expansi
     if not vals.imag.any():
         vals = vals.real  # plain float differences are much cheaper
     out = np.empty(space.n)
-    for lo in range(0, space.n, _CHUNK):
-        hi = min(lo + _CHUNK, space.n)
+    for lo in range(0, space.n, BLOCK_ROWS):
+        hi = lo + BLOCK_ROWS
         within = space.dist[lo:hi] <= r
         diff = np.abs(vals[lo:hi, None] - vals[None, :])
         out[lo:hi] = np.where(within, diff, 0.0).max(axis=1)

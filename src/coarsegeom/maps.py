@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,18 +34,18 @@ from .errors import (
 )
 from .nets import Net, _as_order, greedy_separated_net, net_from_members
 from .space import (
+    BLOCK_ROWS,
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
     check_bounds,
     check_point_ids,
     check_scale,
-    cover_witness,
+    max_entry,
+    nearest_members,
 )
 
 # factorial enumeration stays sub-second up to here
 BRUTEFORCE_CAP = 8
-
-_CHUNK = 512
 
 
 def _mapping_array(
@@ -62,23 +62,6 @@ def _mapping_array(
     return arr
 
 
-def _max_gap(
-    n: int, block: Callable[[int, int], np.ndarray]
-) -> tuple[float, tuple[int, int]]:
-    """Max entry of an n x n gap table with its (row, column), built and
-    scanned ``_CHUNK`` rows at a time by ``block(lo, hi)``."""
-    worst = -math.inf
-    witness = (0, 0)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        gap = block(lo, hi)
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if gap[i, j] > worst:
-            worst = float(gap[i, j])
-            witness = (lo + int(i), int(j))
-    return worst, witness
-
-
 def additive_slack(
     dom: FiniteMetricSpace,
     rng: FiniteMetricSpace,
@@ -91,9 +74,9 @@ def additive_slack(
     (lam, c) a valid large-scale Lipschitz distortion of ``mapping``.
     """
     m = _mapping_array(dom, rng, mapping)
-    return _max_gap(
-        dom.n, lambda lo, hi: rng.dist[np.ix_(m[lo:hi], m)] - lam * dom.dist[lo:hi]
-    )
+    slack, (lo, i, j) = max_entry(range(0, dom.n, BLOCK_ROWS), lambda lo: (
+        rng.dist[np.ix_(m[lo:lo + BLOCK_ROWS], m)] - lam * dom.dist[lo:lo + BLOCK_ROWS]))
+    return slack, (lo + i, j)
 
 
 def displacement(
@@ -350,15 +333,6 @@ def make_net_bijection(
     )
 
 
-def _nearest_member(space: FiniteMetricSpace, members: np.ndarray) -> np.ndarray:
-    """Snap each point to its nearest member, ties to the lowest point id;
-    members map to themselves."""
-    by_id = np.sort(members)
-    nearest = by_id[np.argmin(space.dist[:, by_id], axis=1)]
-    nearest[members] = members
-    return nearest
-
-
 def extend_net_map(
     dom: FiniteMetricSpace,
     rng: FiniteMetricSpace,
@@ -374,24 +348,26 @@ def extend_net_map(
     K, C = f.K, f.measured_C
     if not math.isfinite(C):
         raise CertificateError("cannot extend a bijection with infinite distortion")
+    snapped = []
     for space, net, side in ((dom, f.domain_net, "domain"), (rng, f.range_net, "range")):
-        cover, worst = cover_witness(space, net.members)
-        if cover > K + DEFAULT_TOLERANCE:
+        nearest, gaps = nearest_members(space, net.members)
+        worst = int(np.argmax(gaps))
+        if gaps[worst] > K + DEFAULT_TOLERANCE:
             raise NetCoverViolation(
                 f"{side} net does not cover within K={K}: point {worst} "
-                f"is {cover:g} away",
+                f"is {gaps[worst]:g} away",
                 side=side,
                 witness=worst,
-                cover=cover,
+                cover=float(gaps[worst]),
             )
+        snapped.append(nearest)
 
     # member -> paired member lookups, -1 off the nets
     fwd = np.full(dom.n, -1, dtype=np.intp)
     fwd[f.domain_net.members] = f.image
     bwd = np.full(rng.n, -1, dtype=np.intp)
     bwd[f.image] = f.domain_net.members
-    phi = fwd[_nearest_member(dom, f.domain_net.members)]
-    psi = bwd[_nearest_member(rng, f.range_net.members)]
+    phi, psi = fwd[snapped[0]], bwd[snapped[1]]
 
     lam = max(C, 1.0)
     claimed = {"lambda": lam, "c": 2.0 * C * K, "R": K}
@@ -439,9 +415,9 @@ def restrict_equivalence(
     claimed_C = lam * (1.0 + (2.0 * R + c) / epsilon)
 
     # max over pairs of d(x,y) - lam*d'(phi x, phi y); must stay <= 2R + c
-    eq_slack, eq_witness = _max_gap(
-        dom.n, lambda lo, hi: dom.dist[lo:hi] - lam * rng.dist[np.ix_(phi[lo:hi], phi)]
-    )
+    eq_slack, (lo, i, j) = max_entry(range(0, dom.n, BLOCK_ROWS), lambda lo: (
+        dom.dist[lo:lo + BLOCK_ROWS] - lam * rng.dist[np.ix_(phi[lo:lo + BLOCK_ROWS], phi)]))
+    eq_witness = (lo + i, j)
 
     range_net = net_from_members(rng, image, claimed_radius)
     measured_radius = range_net.cover_radius
@@ -485,7 +461,7 @@ def closeness_gap(
     d_nets = dom.dist[np.ix_(a, b)]
     if float(d_nets.min(axis=1).max()) > r:
         return None
-    if float(dom.dist[np.ix_(b, a)].min(axis=1).max()) > r:
+    if float(d_nets.min(axis=0).max()) > r:  # the table is symmetric
         return None
     cross = d_nets <= r
     if not cross.any():

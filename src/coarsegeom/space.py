@@ -13,7 +13,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -32,6 +32,9 @@ from .errors import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
+
+# rows of a distance table that one step of a blocked scan holds at once
+BLOCK_ROWS = 256
 
 _SCIPY_METRIC = {
     "euclidean": "euclidean",
@@ -168,23 +171,30 @@ class MetricValidationReport:
         }
 
 
+def max_entry(keys: Iterable, block: Callable[[object], np.ndarray]) -> tuple[float, tuple]:
+    """Largest entry of the 2-D arrays ``block(key)`` over ``keys`` and
+    ``(key, i, j)`` of the first entry attaining it (keys in order, then
+    row-major), or ``(-inf, (0, 0, 0))`` with no keys: the one
+    max-with-witness scan over distance tables. A row-blocked scan takes
+    the keys ``range(0, n, BLOCK_ROWS)`` and adds the key to ``i``."""
+    worst, witness = -math.inf, (0, 0, 0)
+    for key in keys:
+        gap = block(key)
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        if gap[i, j] > worst:
+            worst, witness = float(gap[i, j]), (key, int(i), int(j))
+    return worst, witness
+
+
 def worst_triangle_defect(dist: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Max over triples of d(i,k) - d(i,j) - d(j,k) and an attaining triple.
 
     Positive defect means the triangle inequality fails through
     intermediate point j.
     """
-    n = dist.shape[0]
-    worst = -np.inf
-    witness = (0, 0, 0)
-    for j in range(n):
-        # defect[i, k] through intermediate j, vectorized per column
-        defect = dist - (dist[:, j][:, None] + dist[j, :][None, :])
-        i, k = np.unravel_index(int(np.argmax(defect)), defect.shape)
-        if defect[i, k] > worst:
-            worst = float(defect[i, k])
-            witness = (int(i), int(j), int(k))
-    return worst, witness
+    worst, (j, i, k) = max_entry(
+        range(len(dist)), lambda j: dist - (dist[:, j][:, None] + dist[j, :][None, :]))
+    return worst, (i, j, k)
 
 
 def from_distance_matrix(
@@ -310,12 +320,24 @@ def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
     return float(sub[off].min())
 
 
-def cover_witness(space: FiniteMetricSpace, members: Sequence[int]) -> tuple[float, int]:
-    """The cover radius of ``members`` and the lowest point attaining it."""
+def nearest_members(space: FiniteMetricSpace,
+                    members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest member (ties to the lowest id; members map to
+    themselves) and its distance to it, from one n x m gather."""
     idx = check_point_ids(space, members)
     if idx.size == 0:
         raise TooFewPoints("cover radius of an empty set", size=0)
-    gaps = space.dist[:, idx].min(axis=1)
+    by_id = np.sort(idx)
+    table = space.dist[:, by_id]
+    col = np.argmin(table, axis=1)
+    nearest = by_id[col]
+    nearest[idx] = idx
+    return nearest, table[np.arange(space.n), col]
+
+
+def cover_witness(space: FiniteMetricSpace, members: Sequence[int]) -> tuple[float, int]:
+    """The cover radius of ``members`` and the lowest point attaining it."""
+    gaps = nearest_members(space, members)[1]
     worst = int(np.argmax(gaps))
     return float(gaps[worst]), worst
 
