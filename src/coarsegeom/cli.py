@@ -123,8 +123,8 @@ def _load_function(path: str, expected: int) -> BoundedFunction:
     ``bump``/``pextend --format csv`` write it, with ids 0..n-1 in order;
     a non-numeric first row is skipped."""
     table = load_point_cloud_csv(path)
-    if table.ndim != 2 or table.shape[1] > 3:
-        raise ValueError(f"{path}: expected rows of re, re,im or point,re,im")
+    if table.ndim != 2 or table.shape[1] > 3 or not np.isfinite(table).all():
+        raise ValueError(f"{path}: expected rows of finite re, re,im or point,re,im")
     if table.shape[1] == 3:
         if not np.array_equal(table[:, 0], np.arange(len(table))):
             raise ValueError(f"{path}: point ids must be 0..{len(table) - 1} in order")

@@ -24,7 +24,8 @@ from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
-from .space import DEFAULT_TOLERANCE, FiniteMetricSpace, check_bounds, check_scale
+from .space import (
+    DEFAULT_TOLERANCE, FiniteMetricSpace, check_bounds, check_point_ids, check_scale)
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,7 @@ class ChainMetric:
 
     def chain_between(self, x: int, y: int) -> list[int] | None:
         """Witness chain from x to y with every step <= c, or None."""
+        x, y = check_point_ids(len(self.table), (x, y)).tolist()
         if not math.isfinite(self.table[x, y]):
             return None
         path = [y]
@@ -95,10 +97,14 @@ def convexity_constants(
 
     For each b in the grid, a(b) is the least slope covering every
     pair (clamped below at 1); pairs dominated by a smaller b with the
-    same slope are dropped.
+    same slope are dropped. ``chains``, when given, must be the chain
+    metric of ``space`` at scale ``c``.
     """
     c = check_scale(c, "scale c", positive=True)
     cm = chains if chains is not None else chain_metric(space, c)
+    if (cm.c, cm.table.shape) != (c, space.dist.shape):
+        raise ValueError(f"chains must be at scale {c!r} on {space.n} points, "
+                         f"got scale {cm.c!r} with a {cm.table.shape} table")
     if not cm.is_connected():
         i, j = np.argwhere(~np.isfinite(cm.table))[0]
         raise NotQuasiConvexAtScale(

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyTail, OverlappingBalls
-from .nets import BorelPartition, check_disjoint_cover
+from .nets import BorelPartition, partition_from_cells
 from .space import BLOCK_ROWS, FiniteMetricSpace, check_point_ids, check_scale
 
 
@@ -118,7 +118,8 @@ def decay_profile(
     rho_grid: Sequence[float] | None = None,
     field_cache: ExpansionField | None = None,
 ) -> DecayProfile:
-    """Suprema of grad_r f over the tails {x : d(x, base) >= rho}."""
+    """Suprema of grad_r f over the tails {x : d(x, base) >= rho}; a
+    ``field_cache`` must be the field grad_r f on ``space``."""
     r = check_scale(r, "expansion radius r")
     check_point_ids(space, base)
     if rho_grid is None:
@@ -128,6 +129,9 @@ def decay_profile(
     if sorted(rhos) != rhos:
         raise ValueError("rho grid must be increasing")
     exp_field = field_cache if field_cache is not None else expansion(space, f, r)
+    if (exp_field.r, exp_field.values.shape) != (r, (space.n,)):
+        raise ValueError(f"field_cache must hold {space.n} values at radius {r!r}, got "
+                         f"shape {exp_field.values.shape} at radius {exp_field.r!r}")
     from_base = space.dist[base]
     if not (from_base >= rhos[-1]).any():
         raise EmptyTail(
@@ -197,7 +201,9 @@ def partition_extend(
 ) -> BoundedFunction:
     """Extend a function on net members to the whole space, constant on
     each cell; the restriction back to the members reproduces the input.
-    The cells must partition the space (checked, with a witness point)."""
+    The partition is checked by ``partition_from_cells``."""
+    partition = partition_from_cells(space, partition.cells, partition.K,
+                                     partition.enumeration_order)
     members = partition.enumeration_order
     if isinstance(f_on_members, BoundedFunction):
         seq = f_on_members.values
@@ -211,7 +217,6 @@ def partition_extend(
             f"expected one value per member ({members.size}), "
             f"got shape {member_values.shape}"
         )
-    check_disjoint_cover(space.n, partition.cells, members)
     lookup = np.zeros(space.n, dtype=np.complex128)
     lookup[members] = member_values
     return BoundedFunction(lookup[partition.cell_index(space.n)])

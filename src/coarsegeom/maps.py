@@ -106,7 +106,7 @@ class LargeScaleMap:
         check_scale(self.c, "additive constant c")
 
     def __call__(self, x: int) -> int:
-        return int(self.mapping[x])
+        return int(self.mapping[check_point_ids(len(self.mapping), x)])
 
     def to_dict(self) -> dict:
         return {"mapping": self.mapping.tolist(), "lambda": self.lam, "c": self.c}

@@ -151,26 +151,6 @@ def refine_net(space: FiniteMetricSpace, net: Net, K: float) -> Net:
     return net_from_members(space, _greedy_scan(space, net.members, K), 2.0 * K)
 
 
-def check_disjoint_cover(
-    n: int, cells: Mapping[int, np.ndarray], order: Sequence[int]
-) -> None:
-    """Raise unless each of the points 0..n-1 lies in exactly one cell:
-    ``InvalidPartition`` names a point in two cells and their members
-    (in ``order``), ``PartitionGap`` a point in none."""
-    counts = np.bincount(
-        np.concatenate([np.empty(0, np.intp), *cells.values()]), minlength=n
-    )
-    if (counts > 1).any():
-        p = int(np.argmax(counts > 1))
-        owners = [x for x in np.asarray(order).tolist() if p in cells[x]]
-        raise InvalidPartition(
-            f"point {p} lies in the cells of {owners}", witness=p, cells=owners
-        )
-    if (counts == 0).any():
-        p = int(np.argmax(counts == 0))
-        raise PartitionGap(f"point {p} lies in no cell", witness=p)
-
-
 def parse_member_key(key):
     """A cell key as a member id: a string spelling an int in canonical
     decimal ("3", as JSON object keys and ``BorelPartition.to_dict``
@@ -219,7 +199,15 @@ def partition_from_cells(
                 member=x,
                 witness=int(far[0]),
             )
-    check_disjoint_cover(space.n, checked, enum)
+    counts = np.bincount(np.concatenate([np.empty(0, np.intp), *checked.values()]),
+                         minlength=space.n)
+    if (counts > 1).any():
+        p = int(np.argmax(counts > 1))
+        owners = [x for x in enum.tolist() if p in checked[x]]
+        raise InvalidPartition(f"point {p} lies in the cells of {owners}", witness=p, cells=owners)
+    if (counts == 0).any():
+        p = int(np.argmax(counts == 0))
+        raise PartitionGap(f"point {p} lies in no cell", witness=p)
     return BorelPartition(cells=checked, K=K, enumeration_order=enum)
 
 

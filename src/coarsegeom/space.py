@@ -128,12 +128,13 @@ class FiniteMetricSpace:
         return self.dist.shape[0]
 
     def d(self, x: int, y: int) -> float:
-        return float(self.dist[x, y])
+        return float(self.dist[tuple(check_point_ids(self, (x, y)))])
 
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
 
     def label_of(self, x: int) -> str:
+        x = int(check_point_ids(self, x))
         return self.labels[x] if self.labels else str(x)
 
 
@@ -279,10 +280,12 @@ def from_point_cloud(
 ) -> FiniteMetricSpace:
     """Build the space of rows of ``coords`` under a norm-induced metric.
 
-    ``metric_kind`` is one of euclidean, manhattan, chebyshev. The
-    result passes validation by construction.
+    ``coords`` is an n x d array; ``metric_kind`` is one of euclidean,
+    manhattan, chebyshev. The result passes validation by construction.
     """
-    pts = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    pts = np.asarray(coords, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError(f"a point cloud must be an n x d array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         i = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0][0])
         raise NonFiniteCoordinate(f"non-finite coordinate in point {i}", point=i)

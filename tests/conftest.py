@@ -23,6 +23,18 @@ def random_cloud_space(rng, n=None, dim=None, kind=None, duplicates=False):
     return cg.from_point_cloud(pts, kind)
 
 
+def planted_table(gen, n):
+    """The manhattan table of n integer points in a small box (many ties,
+    duplicate points), with a few entries raised symmetrically so that
+    triangles fail."""
+    pts = gen.integers(0, 4 + n // 64, size=(n, int(gen.integers(1, 3))))
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
+    for _ in range(int(gen.integers(0, 4)) if n else 0):
+        i, k = gen.integers(0, n, size=2)
+        dist[i, k] = dist[k, i] = dist[i, k] + float(gen.choice([0.5, 1.0, 3.0]))
+    return dist
+
+
 def random_graph_space(rng, n=None, unit=True, scale=1.0):
     """Shortest-path metric of a random connected graph."""
     n = int(rng.integers(4, 33)) if n is None else n

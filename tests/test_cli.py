@@ -776,3 +776,85 @@ def test_malformed_artifacts_exit_cleanly(fuzz_dir, case):
         assert "error" in json.loads(result.stderr)
     else:
         assert result.stderr.startswith(("coarsegeom: error:", "usage:"))
+
+
+# --- malformed CSV inputs ---
+
+def test_header_only_point_cloud_exits_64(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("x,y\n")
+    # read as one point with no coordinates: exit 0 with the net [0]
+    result = run_cli("net", "--input", path, "--points", "--K", 1, check=False)
+    assert result.returncode == 64
+    assert "n x d array, got shape (0,)" in result.stderr
+
+
+# subcommand -> (a valid CSV: header and rows, argv with "@" where it goes
+# and "{d}" for the directory holding the other inputs)
+_CSV_FUZZED = {
+    "validate": ([",".join(f"p{j}" for j in range(10)), *_LINE10.split()], ()),
+    "net": (["x,y", *(f"{i},{i % 3}" for i in range(10))], ("--points", "--K", 1)),
+    "expansion": (["point,re,im", *(f"{i},{i * i},0" for i in range(10))],
+                  ("--fn", "@", "--r", 1)),
+    "pextend": (["point,re,im", *(f"{i},{3 * i},1" for i in range(4))],
+                ("--partition", "{d}/part.json", "--values", "@")),
+}
+
+
+def _with_last_token(row: str, token: str) -> str:
+    return row.rsplit(",", 1)[0] + "," + token
+
+
+# mutation -> the mutated (header, rows) as lines; the third row is the one changed
+_CSV_MUTATIONS = {
+    "ragged row": lambda h, rows: [h, *rows[:2], rows[2].rsplit(",", 1)[0], *rows[3:]],
+    "extra column": lambda h, rows: [h, *rows[:2], rows[2] + ",1", *rows[3:]],
+    **{f"token {tok!r}": (lambda tok: lambda h, rows: [
+        h, *rows[:2], _with_last_token(rows[2], tok), *rows[3:]])(tok)
+       for tok in ("x", "", "nan", "inf", "1e400")},
+    "header only": lambda h, rows: [h],
+    "empty file": lambda h, rows: [],
+    "undecodable bytes": lambda h, rows: [h, *rows[:2], b"\xff\xfe" + rows[2].encode()],
+}
+
+
+def _csv_bytes(lines) -> bytes:
+    return b"".join((ln if isinstance(ln, bytes) else ln.encode()) + b"\n" for ln in lines)
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("csv_fuzz")
+    (d / "line10.csv").write_text(_LINE10)
+    (d / "part.json").write_text(json.dumps(_FUZZED["pextend"][0]))
+    return d
+
+
+def _csv_argv(d, command, path):
+    extra = _CSV_FUZZED[command][1]
+    inputs = ("--input", path) if command in ("validate", "net") else (
+        "--input", d / "line10.csv")
+    return (command, *inputs, *(path if a == "@" else str(a).format(d=d) for a in extra))
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_FUZZED))
+def test_fuzzed_csv_inputs_start_valid(csv_fuzz_dir, command):
+    path = csv_fuzz_dir / f"{command}-valid.csv"
+    header, *rows = _CSV_FUZZED[command][0]
+    path.write_bytes(_csv_bytes([header, *rows]))
+    run_cli(*_csv_argv(csv_fuzz_dir, command, path))
+
+
+@pytest.mark.parametrize("mutation", sorted(_CSV_MUTATIONS))
+@pytest.mark.parametrize("command", sorted(_CSV_FUZZED))
+def test_malformed_csv_inputs_exit_cleanly(csv_fuzz_dir, command, mutation):
+    header, *rows = _CSV_FUZZED[command][0]
+    path = csv_fuzz_dir / "input.csv"
+    path.write_bytes(_csv_bytes(_CSV_MUTATIONS[mutation](header, rows)))
+    result = run_cli(*_csv_argv(csv_fuzz_dir, command, path), check=False)
+    assert result.returncode in (2, 64, 66), result.stdout
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    if result.returncode == 2:
+        assert "error" in json.loads(result.stderr)
+    else:
+        assert result.stderr.startswith("coarsegeom: error:") or result.returncode == 66

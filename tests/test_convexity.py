@@ -10,6 +10,7 @@ from coarsegeom.errors import (
     GraphDisconnected,
     NonPositiveScale,
     NotQuasiConvexAtScale,
+    UnknownPoint,
 )
 from conftest import random_cloud_space, random_graph_space, random_space
 
@@ -293,3 +294,27 @@ def test_ls_constants_certify_uniformly_expansive_maps(seed):
     lam, add = cg.ls_constants_from_expansive(S, consts.a, consts.b, c)
     slack, _ = cg.additive_slack(space, target, mapping, lam)
     assert slack <= add + 1e-9
+
+
+# --- inputs handed in must match the call ---
+
+def test_convexity_constants_refuses_chains_of_another_scale_or_space():
+    space = cg.from_point_cloud([[0.0], [3.0]])
+    # not chain-connected at scale 1, yet (a, b, c) = (1, 0, 1) was certified
+    with pytest.raises(ValueError, match=r"scale 1\.0.*scale 5\.0"):
+        cg.convexity_constants(space, 1.0, chains=cg.chain_metric(space, 5.0))
+    with pytest.raises(ValueError, match=r"2 points.*\(3, 3\)"):
+        cg.convexity_constants(space, 5.0, chains=cg.chain_metric(cg.line_space(3), 5.0))
+    with pytest.raises(NotQuasiConvexAtScale):
+        cg.convexity_constants(space, 1.0)
+    given_chains = cg.convexity_constants(space, 5.0, chains=cg.chain_metric(space, 5.0))
+    assert given_chains == cg.convexity_constants(space, 5.0)
+
+
+@pytest.mark.parametrize("x, y", [(2, -3), (0, 12), (-1, 0), (0, 1.5)])
+def test_chain_between_checks_the_ids(line10, x, y):
+    # (2, -3) gave the chain [2, 3, 4, 5, 6, -3]; (0, 12) an IndexError
+    cm = cg.chain_metric(line10, 1.0)
+    with pytest.raises(UnknownPoint):
+        cm.chain_between(x, y)
+    assert cm.chain_between(2, 5) == [2, 3, 4, 5]

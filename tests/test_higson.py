@@ -303,3 +303,29 @@ def test_partition_extend_decay_dominated_by_net_decay():
         owners = members_from_base >= max(rho - K, 0.0)
         rhs = field_net.values[owners].max()
         assert lhs <= rhs + 1e-12
+
+
+# --- inputs handed in must match the call ---
+
+def test_decay_profile_refuses_a_field_of_another_radius_or_size(line10):
+    f = cg.BoundedFunction(np.arange(10.0) ** 2)
+    # the r = 0 field passed for r = 5 gave all-zero tails and a Higson verdict
+    with pytest.raises(ValueError, match=r"radius 5\.0.*radius 0\.0"):
+        cg.decay_profile(line10, f, 5.0, 0, field_cache=cg.expansion(line10, f, 0.0))
+    # a field with 3 values ended in an IndexError
+    with pytest.raises(ValueError, match=r"10 values.*\(3,\)"):
+        cg.decay_profile(line10, f, 5.0, 0, field_cache=cg.ExpansionField(5.0, np.zeros(3)))
+    cached = cg.decay_profile(line10, f, 5.0, 0, field_cache=cg.expansion(line10, f, 5.0))
+    assert cached == cg.decay_profile(line10, f, 5.0, 0)
+
+
+def test_partition_extend_checks_the_partition_it_is_given(line10):
+    # an enumeration order naming no member lost the value: the zero function
+    lost = cg.BorelPartition(cells={0: np.arange(10)}, K=9.0, enumeration_order=np.array([5]))
+    with pytest.raises(ValueError, match="enumeration order"):
+        cg.partition_extend(line10, lost, [7.0])
+    # a cell reaching farther than K from its member was accepted
+    wide = cg.BorelPartition(cells={0: np.arange(10)}, K=2.0, enumeration_order=np.array([0]))
+    with pytest.raises(InvalidPartition) as err:
+        cg.partition_extend(line10, wide, [7.0])
+    assert err.value.payload == {"member": 0, "witness": 3}

@@ -18,7 +18,7 @@ from coarsegeom.errors import (
     TooLarge,
     UnknownPoint,
 )
-from conftest import random_net_bijection
+from conftest import planted_table, random_net_bijection
 
 
 def identity_bijection(space, K):
@@ -97,6 +97,32 @@ def test_nan_constants_certify_nothing(line10):
     f = identity_bijection(line10, 2.0)
     with pytest.raises(NonPositiveScale, match="r must be"):
         cg.closeness_gap(line10, line10, f, f, math.nan)
+
+
+@pytest.mark.parametrize("x", [-1, 5, 2.5])
+def test_large_scale_map_call_checks_the_id(x):
+    f = cg.LargeScaleMap(np.arange(5), 1.0, 0.0)
+    with pytest.raises(UnknownPoint):
+        f(x)  # f(-1) returned 4
+    assert f(4) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.one_of(st.integers(0, 12), st.sampled_from([255, 256, 257, 515])),
+       lam=st.sampled_from([1.0, 1.5, 2.0]))
+def test_additive_slack_is_the_whole_table_argmax(seed, n, lam):
+    # the larger sizes put the first-maximum rule across the scan's row blocks
+    gen = np.random.default_rng(seed)
+    dom = cg.FiniteMetricSpace(planted_table(gen, n))
+    rng = cg.FiniteMetricSpace(planted_table(gen, n))
+    mapping = gen.integers(0, max(n, 1), size=n)
+    gap = rng.dist[np.ix_(mapping, mapping)] - lam * dom.dist
+    expected = (-math.inf, (0, 0))
+    if n:
+        x, y = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        expected = (float(gap.max()), (int(x), int(y)))
+    assert cg.additive_slack(dom, rng, mapping, lam) == expected
 
 
 # --- extension (net bijection -> equivalence) ---

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 import coarsegeom as cg
+from coarsegeom import space as space_module
 from coarsegeom.nets import partition_from_cells
 from coarsegeom.errors import (
     AsymmetryError,
@@ -15,7 +18,7 @@ from coarsegeom.errors import (
     TriangleError,
     UnknownPoint,
 )
-from conftest import random_space
+from conftest import planted_table, random_space
 
 
 def test_smallest_valid_metric():
@@ -287,3 +290,63 @@ def test_closed_ball_monotone_in_radius(seed, r1, r2):
     small = set(cg.closed_ball(space, x, lo).tolist())
     big = set(cg.closed_ball(space, x, hi).tolist())
     assert small <= big
+
+
+# --- accessors and the point-cloud shape ---
+
+@pytest.mark.parametrize("method, ids", [
+    ("d", (-1, 0)),  # returned d(9, 0) = 9.0
+    ("d", (0, 10)),
+    ("d", (0.5, 1)),
+    ("label_of", (-1,)),  # returned the last label
+    ("label_of", (10,)),
+])
+def test_accessors_never_wrap_a_point_id(method, ids):
+    space = cg.FiniteMetricSpace(cg.line_space(10).dist, labels=tuple("abcdefghij"))
+    with pytest.raises(UnknownPoint):
+        getattr(space, method)(*ids)
+    assert (space.d(9, 0), space.label_of(9)) == (9.0, "j")
+
+
+@pytest.mark.parametrize("coords, shape", [
+    ([], (0,)),  # was one point with no coordinates
+    ([1.0, 2.0, 7.0], (3,)),  # was one point in R^3
+    (5.0, ()),
+    (np.zeros((2, 2, 2)), (2, 2, 2)),
+])
+def test_point_cloud_takes_an_n_by_d_array(coords, shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        cg.from_point_cloud(coords)
+    assert cg.from_point_cloud(np.zeros((0, 2))).n == 0
+
+
+# --- the scan kernels against whole-table references ---
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12))
+def test_worst_triangle_defect_is_the_whole_table_argmax(seed, n):
+    dist = planted_table(np.random.default_rng(seed), n)
+    # defect[j, i, k] = d(i, k) - (d(i, j) + d(j, k)): j first, then row-major
+    defect = dist[None, :, :] - (dist.T[:, :, None] + dist[:, None, :])
+    expected = (-np.inf, (0, 0, 0))
+    if n:
+        j, i, k = np.unravel_index(int(np.argmax(defect)), defect.shape)
+        expected = (float(defect.max()), (int(i), int(j), int(k)))
+    got = space_module.worst_triangle_defect(dist)
+    assert got == expected
+    assert all(type(v) is int for v in got[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 6))
+def test_nearest_members_is_the_lowest_nearest_id(seed, n, m):
+    gen = np.random.default_rng(seed)
+    space = cg.FiniteMetricSpace(planted_table(gen, n))
+    members = gen.choice(n, size=min(m, n), replace=False)
+    nearest, gaps = space_module.nearest_members(space, members)
+    for x in range(n):
+        best = min(space.dist[x, members])
+        assert gaps[x] == best
+        ties = sorted(int(y) for y in members if space.dist[x, y] == best)
+        assert nearest[x] == (x if x in members else ties[0])
+    assert space_module.cover_witness(space, members) == (gaps.max(), int(np.argmax(gaps)))
