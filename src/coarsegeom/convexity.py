@@ -102,7 +102,7 @@ def convexity_constants(
     """
     c = check_scale(c, "scale c", positive=True)
     cm = chains if chains is not None else chain_metric(space, c)
-    if (cm.c, cm.table.shape) != (c, space.dist.shape):
+    if (cm.c, cm.table.shape) != (c, (space.n, space.n)):
         raise ValueError(f"chains must be at scale {c!r} on {space.n} points, "
                          f"got scale {cm.c!r} with a {cm.table.shape} table")
     if not cm.is_connected():

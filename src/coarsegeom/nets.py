@@ -199,12 +199,15 @@ def partition_from_cells(
                 member=x,
                 witness=int(far[0]),
             )
-    counts = np.bincount(np.concatenate([np.empty(0, np.intp), *checked.values()]),
-                         minlength=space.n)
+    counts = np.bincount(
+        np.concatenate([np.empty(0, np.intp), *checked.values()]), minlength=space.n
+    )
     if (counts > 1).any():
         p = int(np.argmax(counts > 1))
         owners = [x for x in enum.tolist() if p in checked[x]]
-        raise InvalidPartition(f"point {p} lies in the cells of {owners}", witness=p, cells=owners)
+        raise InvalidPartition(
+            f"point {p} lies in the cells of {owners}", witness=p, cells=owners
+        )
     if (counts == 0).any():
         p = int(np.argmax(counts == 0))
         raise PartitionGap(f"point {p} lies in no cell", witness=p)
