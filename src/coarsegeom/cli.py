@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from typing import Sequence
@@ -64,6 +63,7 @@ from .space import (
     from_point_cloud,
     load_distance_matrix_csv,
     load_point_cloud_csv,
+    plain,
 )
 
 EXIT_OK = 0
@@ -250,7 +250,7 @@ def _emit(args, payload, csv_rows=None, dot_text=None):
     elif args.format == "dot":
         text = dot_text + "\n"
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(plain(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -263,42 +263,41 @@ def _emit(args, payload, csv_rows=None, dot_text=None):
 def _cmd_validate(args):
     table, labels = load_distance_matrix_csv(args.input)
     space, report = from_distance_matrix(table, args.tolerance, labels)
-    _emit(args, {"n": space.n, "report": report.to_dict()})
+    _emit(args, {"n": space.n, "report": report})
 
 
 def _cmd_net(args, space):
     order = _order_from_seed(space.n, args.order_seed)
     net = greedy_separated_net(space, args.K, order)
-    _emit(args, net.to_dict())
+    _emit(args, net)
 
 
 def _cmd_refine(args, space):
     refined = refine_net(space, _net(space, args.net, *_read(args.net)), args.K)
-    _emit(args, refined.to_dict())
+    _emit(args, refined)
 
 
 def _cmd_partition(args, space):
     net = _net(space, args.net, *_read(args.net))
     order = _int_list(args.order) if args.order else None
     part = borel_partition(space, net, args.K, order)
-    _emit(args, part.to_dict())
+    _emit(args, part)
 
 
 def _cmd_distort(args, dom, rng):
-    _emit(args, _read_bijection(dom, rng, args.bijection).distortion.to_dict())
+    _emit(args, _read_bijection(dom, rng, args.bijection).distortion)
 
 
 def _cmd_extend(args, dom, rng):
     pair, certificate = extend_net_map(dom, rng, _read_bijection(dom, rng, args.bijection))
-    _emit(args, {"pair": pair.to_dict(), "certificate": {**certificate, "pass": True}})
+    _emit(args, {"pair": pair, "certificate": {**certificate, "pass": True}})
 
 
 def _cmd_restrict(args, dom, rng):
     pair = _read_pair(dom, rng, args.pair)
     order = _order_from_seed(dom.n, args.order_seed)
     bijection, certificate = restrict_equivalence(dom, rng, pair, args.epsilon, order)
-    _emit(args, {"bijection": bijection.to_dict(),
-                 "certificate": {**certificate, "pass": True}})
+    _emit(args, {"bijection": bijection, "certificate": {**certificate, "pass": True}})
 
 
 def _cmd_closeness(args, dom, rng):
@@ -314,25 +313,19 @@ def _cmd_profile(args, dom, rng):
     grid = _float_list(args.grid) if args.grid else None
     fn = expansiveness_profile if args.kind == "expansiveness" else properness_profile
     samples = fn(dom, rng, mapping, grid)
-    _emit(args, {"kind": args.kind, "samples": [[r, s] for r, s in samples]},
-          csv_rows=[("R", "S"), *samples])
+    _emit(args, {"kind": args.kind, "samples": samples}, csv_rows=[("R", "S"), *samples])
 
 
 def _cmd_chain(args, space):
     cm = chain_metric(space, args.c)
-    table = cm.table.tolist()
-    payload = {
-        "c": args.c,
-        "connected": cm.is_connected(),
-        "table": [[None if math.isinf(v) else v for v in row] for row in table],
-    }
-    _emit(args, payload, csv_rows=table)
+    _emit(args, {"c": args.c, "connected": cm.is_connected(), "table": cm.table},
+          csv_rows=cm.table.tolist())
 
 
 def _cmd_convexity(args, space):
     grid = _float_list(args.b_grid) if args.b_grid else None
     frontier = convexity_constants(space, args.c, grid)
-    _emit(args, {"c": args.c, "frontier": [k.to_dict() for k in frontier]})
+    _emit(args, {"c": args.c, "frontier": frontier})
 
 
 def _cmd_graph(args, space):
@@ -343,7 +336,7 @@ def _cmd_graph(args, space):
         constants = ConvexityConstants(a=args.a, b=args.b, c=args.c)
     order = _order_from_seed(space.n, args.order_seed)
     graph, certificate = build_geodesic_graph(space, args.c, order, constants)
-    _emit(args, {"graph": graph.to_dict(), "certificate": {**certificate, "pass": True}},
+    _emit(args, {"graph": graph, "certificate": {**certificate, "pass": True}},
           dot_text=graph.to_dot(space))
 
 
@@ -379,8 +372,7 @@ def _cmd_pextend(args, space):
 
 def _cmd_oracle(args, dom, rng):
     c_star, pairing = min_distortion_bruteforce(dom, rng)
-    _emit(args, {"C_star": None if math.isinf(c_star) else c_star,
-                 "pairing": pairing.tolist()})
+    _emit(args, {"C_star": c_star, "pairing": pairing})
 
 
 def _powers_space(k: int, p: int) -> FiniteMetricSpace:
@@ -409,7 +401,7 @@ def _cmd_demo_n2n3(args):
     values = [row[1] for row in table]
     payload = {
         "cubes_to_squares": decreasing,
-        "squares_to_cubes_profile": [[r, s] for r, s in blowup],
+        "squares_to_cubes_profile": blowup,
         "C_star": table,
         "nondecreasing": all(b >= a for a, b in zip(values, values[1:])),
         "separation": values[-1] > values[0],
@@ -532,7 +524,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args.handler(args, *(_load_space(args, s) for s in ("", "2")[:args.spaces]))
     except CoarseGeomError as err:
-        print(json.dumps(err.to_dict(), sort_keys=True), file=sys.stderr)
+        print(json.dumps(plain(err.to_dict()), sort_keys=True), file=sys.stderr)
         return EXIT_PRECONDITION
     except (OSError, json.JSONDecodeError) as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)},

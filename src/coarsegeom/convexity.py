@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
-    DEFAULT_TOLERANCE, FiniteMetricSpace, check_bounds, check_point_ids, check_scale)
+    DEFAULT_TOLERANCE, FiniteMetricSpace, Record, check_bounds, check_point_ids, check_scale)
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,12 @@ class ChainMetric:
 
 
 @dataclass(frozen=True)
-class ConvexityConstants:
+class ConvexityConstants(Record):
     """Certified (a, b) at scale c: chain totals <= a*d + b on all pairs."""
 
     a: float
     b: float
     c: float
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c}
 
 
 def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
@@ -135,7 +132,7 @@ def convexity_constants(
 
 
 @dataclass(frozen=True)
-class GeodesicGraph:
+class GeodesicGraph(Record):
     """Unit-edge graph on a c-separated c-net, edges at ambient d <= 3c."""
 
     vertices: Net
@@ -147,14 +144,6 @@ class GeodesicGraph:
         arr = np.ascontiguousarray(self.hop)
         arr.setflags(write=False)
         object.__setattr__(self, "hop", arr)
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "vertices": self.vertices.to_dict(),
-            "edges": [list(e) for e in self.edges],
-            "hop": self.hop.tolist(),
-        }
 
     def to_dot(self, space: FiniteMetricSpace | None = None) -> str:
         lines = ["graph geodesic_skeleton {"]

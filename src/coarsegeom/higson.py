@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, partition_from_cells
-from .space import BLOCK_ROWS, FiniteMetricSpace, check_point_ids, check_scale
+from .space import BLOCK_ROWS, FiniteMetricSpace, Record, check_point_ids, check_scale
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ExpansionField:
 
 
 @dataclass(frozen=True)
-class DecayProfile:
+class DecayProfile(Record):
     """Tail suprema of an expansion field at increasing radii rho."""
 
     r: float
@@ -84,13 +84,6 @@ class DecayProfile:
         A numerical verdict about this truncation only.
         """
         return self.final_level() <= check_scale(threshold, "threshold")
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "base": self.base,
-            "samples": [[rho, sup] for rho, sup in self.samples],
-        }
 
 
 def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> ExpansionField:

@@ -37,11 +37,13 @@ from .space import (
     BLOCK_ROWS,
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
+    Record,
     check_bounds,
     check_point_ids,
     check_scale,
     max_entry,
     nearest_members,
+    plain,
 )
 
 # factorial enumeration stays sub-second up to here
@@ -90,7 +92,7 @@ def displacement(
 
 
 @dataclass(frozen=True)
-class LargeScaleMap:
+class LargeScaleMap(Record):
     """Total map with certified d'(fx, fy) <= lam*d(x, y) + c."""
 
     mapping: np.ndarray
@@ -109,7 +111,7 @@ class LargeScaleMap:
         return int(self.mapping[check_point_ids(len(self.mapping), x)])
 
     def to_dict(self) -> dict:
-        return {"mapping": self.mapping.tolist(), "lambda": self.lam, "c": self.c}
+        return plain({"mapping": self.mapping, "lambda": self.lam, "c": self.c})
 
 
 def large_scale_map(
@@ -133,7 +135,7 @@ def large_scale_map(
 
 
 @dataclass(frozen=True)
-class EquivalencePair:
+class EquivalencePair(Record):
     """Mutually inverse (up to R) large-scale maps between two spaces."""
 
     forward: LargeScaleMap
@@ -147,13 +149,6 @@ class EquivalencePair:
     @property
     def c(self) -> float:
         return max(self.forward.c, self.backward.c)
-
-    def to_dict(self) -> dict:
-        return {
-            "forward": self.forward.to_dict(),
-            "backward": self.backward.to_dict(),
-            "closeness": self.closeness,
-        }
 
 
 def certify_equivalence(
@@ -188,7 +183,7 @@ def certify_equivalence(
 
 
 @dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(Record):
     """Measured bi-Lipschitz constant of a net pairing, with witnesses."""
 
     min_C: float
@@ -197,18 +192,9 @@ class DistortionReport:
     degenerate_pair: tuple[int, int] | None
     profile: list[tuple[float, float]]
 
-    def to_dict(self) -> dict:
-        return {
-            "min_C": None if math.isinf(self.min_C) else self.min_C,
-            "worst_expand_pair": self.worst_expand_pair,
-            "worst_contract_pair": self.worst_contract_pair,
-            "degenerate_pair": self.degenerate_pair,
-            "profile": [[r, s] for r, s in self.profile],
-        }
-
 
 @dataclass(frozen=True)
-class NetBijection:
+class NetBijection(Record):
     """Bi-Lipschitz bijection between nets: a coarse quasi-isometry (K, C)."""
 
     domain_net: Net
@@ -231,13 +217,8 @@ class NetBijection:
         return self.distortion.min_C
 
     def to_dict(self) -> dict:
-        return {
-            "domain_net": self.domain_net.to_dict(),
-            "range_net": self.range_net.to_dict(),
-            "image": self.image.tolist(),
-            "measured_C": None if math.isinf(self.measured_C) else self.measured_C,
-            "K": self.K,
-        }
+        return plain({"domain_net": self.domain_net, "range_net": self.range_net,
+                      "image": self.image, "measured_C": self.measured_C, "K": self.K})
 
 
 def default_radius_grid(diameter: float) -> list[float]:

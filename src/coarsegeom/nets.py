@@ -24,6 +24,7 @@ from .errors import (
 )
 from .space import (
     FiniteMetricSpace,
+    Record,
     check_point_ids,
     check_scale,
     cover_radius_of,
@@ -54,7 +55,7 @@ def _greedy_scan(space: FiniteMetricSpace, scan: np.ndarray, K: float) -> np.nda
 
 
 @dataclass(frozen=True)
-class Net:
+class Net(Record):
     """A subset whose points cover the space within K and sit > delta apart.
 
     ``K`` is the certified cover bound, ``cover_radius`` the measured
@@ -74,17 +75,9 @@ class Net:
     def __len__(self) -> int:
         return len(self.members)
 
-    def to_dict(self) -> dict:
-        return {
-            "members": self.members.tolist(),
-            "K": self.K,
-            "delta": None if math.isinf(self.delta) else self.delta,
-            "cover_radius": self.cover_radius,
-        }
-
 
 @dataclass(frozen=True)
-class BorelPartition:
+class BorelPartition(Record):
     """Disjoint cells F_x, one per net member, with x in F_x subset B(x, K)."""
 
     cells: dict[int, np.ndarray]
@@ -97,13 +90,6 @@ class BorelPartition:
         for x, cell in self.cells.items():
             owner[cell] = x
         return owner
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "enumeration_order": self.enumeration_order.tolist(),
-            "cells": {str(x): cell.tolist() for x, cell in self.cells.items()},
-        }
 
 
 def net_from_members(

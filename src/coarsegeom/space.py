@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +41,34 @@ _SCIPY_METRIC = {
     "manhattan": "cityblock",
     "chebyshev": "chebyshev",
 }
+
+
+def plain(value):
+    """``value`` as JSON holds it, the one rule for every report: a record
+    becomes its ``to_dict``, an array or tuple a list, a dict one with
+    string keys, and a nan or infinite float None. An array goes through
+    ``tolist`` at C speed unless it holds a non-finite float."""
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and not np.isfinite(value).all():
+            value = np.where(np.isfinite(value), value, None)
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+class Record:
+    """Mixin for a dataclass report: its JSON form is each field through
+    :func:`plain`."""
+
+    def to_dict(self) -> dict:
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
 def check_scale(value, name: str, positive: bool = False) -> float:
@@ -139,7 +167,7 @@ class FiniteMetricSpace:
 
 
 @dataclass(frozen=True)
-class MetricValidationReport:
+class MetricValidationReport(Record):
     """Worst-case deviations from the metric axioms, plus a verdict."""
 
     worst_asymmetry: float
@@ -162,14 +190,7 @@ class MetricValidationReport:
         object.__setattr__(self, "verdict", ok)
 
     def to_dict(self) -> dict:
-        return {
-            "worst_asymmetry": self.worst_asymmetry,
-            "worst_triangle_defect": self.worst_triangle_defect,
-            "worst_negative": self.worst_negative,
-            "worst_diagonal": self.worst_diagonal,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.verdict else "fail",
-        }
+        return {**super().to_dict(), "verdict": "pass" if self.verdict else "fail"}
 
 
 def max_entry(keys: Iterable, block: Callable[[object], np.ndarray]) -> tuple[float, tuple]:
