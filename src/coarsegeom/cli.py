@@ -121,7 +121,7 @@ def _load_space(args, suffix: str) -> FiniteMetricSpace:
 def _load_function(path: str, expected: int) -> BoundedFunction:
     """One row per point: ``re``, ``re,im``, or ``point,re,im`` as
     ``bump``/``pextend --format csv`` write it, with ids 0..n-1 in order;
-    a non-numeric first row is skipped."""
+    a first row holding no number is skipped."""
     table = load_point_cloud_csv(path)
     if table.ndim != 2 or table.shape[1] > 3 or not np.isfinite(table).all():
         raise ValueError(f"{path}: expected rows of finite re, re,im or point,re,im")

@@ -51,7 +51,7 @@ class ChainMetric:
         while path[-1] != x:
             prev = int(self.predecessors[x, path[-1]])
             if prev < 0:
-                return None if path[-1] != x else path[::-1]
+                return None
             path.append(prev)
         return path[::-1]
 

@@ -444,11 +444,8 @@ def closeness_gap(
         return None
     if float(d_nets.min(axis=0).max()) > r:  # the table is symmetric
         return None
-    cross = d_nets <= r
-    if not cross.any():
-        return 0.0
     d_images = rng.dist[np.ix_(f.image, g.image)]
-    return float(d_images[cross].max())
+    return float(d_images[d_nets <= r].max())
 
 
 def _profile(

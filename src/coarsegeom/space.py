@@ -137,7 +137,11 @@ def check_bounds(
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """A finite pseudo-metric space backed by a full distance table."""
+    """A finite pseudo-metric space backed by a full distance table.
+
+    Construction refuses a table that is not square or holds a nan, an
+    infinity or a negative entry; the diagonal, symmetry and triangle
+    checks are :func:`from_distance_matrix`'s."""
 
     dist: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -146,6 +150,12 @@ class FiniteMetricSpace:
         arr = np.ascontiguousarray(self.dist, dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(self, "dist", arr)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"distance table must be square, got shape {arr.shape}")
+        # nan fails both comparisons; the witness is searched only on failure
+        if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+            i, j = np.argwhere(~(arr >= 0.0) | (arr == math.inf))[0]
+            raise ValueError(f"distance ({i}, {j}) = {arr[i, j]} is not a finite number >= 0")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.n} points"
@@ -373,10 +383,9 @@ def cover_radius_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
 
 # --- file interfaces ---
 
-def _is_numeric_row(row: Iterable[str]) -> bool:
+def _is_number(tok: str) -> bool:
     try:
-        for tok in row:
-            float(tok)
+        float(tok)
     except ValueError:
         return False
     return True
@@ -384,21 +393,21 @@ def _is_numeric_row(row: Iterable[str]) -> bool:
 
 def _read_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
     """The numeric rows of a CSV file as an array, and its first row if
-    that is a non-numeric header; blank lines are skipped."""
+    that is a header, holding no number; blank lines are skipped."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = None if _is_numeric_row(rows[0]) else rows.pop(0)
+    header = None if any(map(_is_number, rows[0])) else rows.pop(0)
     return np.array([[float(tok) for tok in row] for row in rows]), header
 
 
 def load_distance_matrix_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
-    """Read an n x n distance table; a non-numeric first row gives labels."""
+    """Read an n x n distance table; a first row holding no number gives labels."""
     table, header = _read_csv(path)
     return table, None if header is None else [tok.strip() for tok in header]
 
 
 def load_point_cloud_csv(path: str) -> np.ndarray:
-    """Read one point per row; a non-numeric first row is skipped."""
+    """Read one point per row; a first row holding no number is skipped."""
     return _read_csv(path)[0]

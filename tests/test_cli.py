@@ -789,6 +789,15 @@ def test_header_only_point_cloud_exits_64(tmp_path):
     assert "n x d array, got shape (0,)" in result.stderr
 
 
+def test_a_first_row_holding_a_number_is_not_a_header(tmp_path):
+    path = tmp_path / "typo.csv"
+    path.write_text("0,x\n1,1\n2,2\n3,3\n")
+    # dropped as a header: exit 0 on three of the four points
+    result = run_cli("net", "--input", path, "--points", "--K", 1, check=False)
+    assert result.returncode == 64
+    assert "could not convert string to float: 'x'" in result.stderr
+
+
 # subcommand -> (a valid CSV: header and rows, argv with "@" where it goes
 # and "{d}" for the directory holding the other inputs)
 _CSV_FUZZED = {
@@ -858,3 +867,35 @@ def test_malformed_csv_inputs_exit_cleanly(csv_fuzz_dir, command, mutation):
         assert "error" in json.loads(result.stderr)
     else:
         assert result.stderr.startswith("coarsegeom: error:") or result.returncode == 66
+
+
+# --- one JSON rule for stdout and stderr ---
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_graph_on_a_one_vertex_skeleton_writes_null_defects(line10_csv):
+    # -inf defects ended in "Out of range float values" and exit 64
+    blob = _strict_json(run_cli("graph", "--input", line10_csv, "--c", 20).stdout)
+    certificate = blob["certificate"]
+    assert (certificate["upper_defect"], certificate["lower_defect"]) == (None, None)
+    assert certificate["n_vertices"] == 1 and blob["graph"]["hop"] == [[0.0]]
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (("chain", "--input", "{two}", "--c", 1, "--format", "json"), 0, "stdout"),
+    (("graph", "--input", "{line10}", "--c", 20), 0, "stdout"),
+    (("bump", "--input", "{line10}", "--centers", "0,12", "--radii", "1,2"), 2, "stderr"),
+    (("validate", "--input", "{bad}"), 2, "stderr"),
+])
+def test_cli_json_is_strict(line10_csv, bad_csv, tmp_path, argv, code, stream):
+    two = tmp_path / "two.csv"
+    two.write_text("0,10\n10,0\n")
+    paths = {"two": two, "line10": line10_csv, "bad": bad_csv}
+    result = run_cli(*(str(a).format(**paths) for a in argv), check=False)
+    assert result.returncode == code
+    blob = _strict_json(getattr(result, stream))
+    assert ("error" in blob) == (stream == "stderr")

@@ -445,3 +445,13 @@ def test_mapping_values_are_checked_before_use(line10, call, bad):
     with pytest.raises(UnknownPoint) as err:
         call(line10, [bad, *range(1, 10)])
     assert err.value.payload["id"] == bad
+
+
+def test_closeness_fails_when_the_reverse_density_fails(line10):
+    # {0} lies within 1 of {0, 9}, but 9 lies 9 away from {0}
+    def bijection(members, K):
+        net = cg.net_from_members(line10, members, K)
+        return cg.make_net_bijection(line10, line10, net, net, members)
+
+    f, g = bijection([0], 9.0), bijection([0, 9], 5.0)
+    assert cg.closeness_gap(line10, line10, f, g, 1.0) is None

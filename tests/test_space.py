@@ -1,3 +1,5 @@
+import json
+import math
 import re
 
 import numpy as np
@@ -350,3 +352,98 @@ def test_nearest_members_is_the_lowest_nearest_id(seed, n, m):
         ties = sorted(int(y) for y in members if space.dist[x, y] == best)
         assert nearest[x] == (x if x in members else ties[0])
     assert space_module.cover_witness(space, members) == (gaps.max(), int(np.argmax(gaps)))
+
+
+# --- the constructor's cheap axioms and the CSV header rule ---
+
+@pytest.mark.parametrize("entry, message", [
+    (np.nan, "distance (0, 1) = nan is not a finite number >= 0"),
+    (np.inf, "distance (0, 1) = inf is not a finite number >= 0"),
+    (-1.0, "distance (0, 1) = -1.0 is not a finite number >= 0"),
+])
+def test_constructor_refuses_a_bad_entry(entry, message):
+    table = cg.line_space(4).dist.copy()
+    table[0, 1] = entry
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cg.FiniteMetricSpace(table)
+
+
+@pytest.mark.parametrize("table, shape", [
+    (np.zeros((2, 3)), (2, 3)), (np.zeros(3), (3,)), (np.zeros((1, 1, 1)), (1, 1, 1)),
+])
+def test_constructor_refuses_a_table_that_is_not_square(table, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be square, got shape {shape}")):
+        cg.FiniteMetricSpace(table)
+    assert cg.FiniteMetricSpace(np.zeros((0, 0))).n == 0
+
+
+def test_a_nan_table_certifies_nothing():
+    # the scans skipped the nan's row block: c = 0 was certified, pair (1, 0) needs 2
+    table = cg.line_space(4).dist.copy()
+    table[0, 1] = np.nan
+    with pytest.raises(ValueError, match="is not a finite number"):
+        sp = cg.FiniteMetricSpace(table)
+        cg.large_scale_map(sp, sp, [3, 0, 0, 3], 1.0, 0.0)
+
+
+def test_a_first_row_holding_a_number_is_data(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("0,x\n1,1\n2,2\n3,3\n")
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        cg.load_point_cloud_csv(str(path))
+    path.write_text("point,re,im\n0,1,2\n")
+    assert cg.load_point_cloud_csv(str(path)).tolist() == [[0.0, 1.0, 2.0]]
+
+
+# --- the one JSON rule ---
+
+def _records():
+    line4 = cg.line_space(4)
+    net = cg.greedy_separated_net(line4, 2.0)
+    forward = cg.LargeScaleMap([0, 0, 3, 3], 1.0, 2.0)
+    pseudo = cg.from_point_cloud([[0.0], [0.0], [5.0]])
+    net_json = {"members": [0, 3], "K": 2.0, "delta": 3.0, "cover_radius": 1.0}
+    return {
+        "singleton net": (cg.net_from_members(line4, [0], 3.0), {
+            "members": [0], "K": 3.0, "delta": None, "cover_radius": 3.0}),
+        "partition": (cg.borel_partition(line4, net, 2.0), {
+            "cells": {"0": [0, 1, 2], "3": [3]}, "K": 2.0, "enumeration_order": [0, 3]}),
+        "large-scale map": (forward, {"mapping": [0, 0, 3, 3], "lambda": 1.0, "c": 2.0}),
+        "equivalence pair": (cg.EquivalencePair(forward, forward, 1.0), {
+            "forward": {"mapping": [0, 0, 3, 3], "lambda": 1.0, "c": 2.0},
+            "backward": {"mapping": [0, 0, 3, 3], "lambda": 1.0, "c": 2.0},
+            "closeness": 1.0}),
+        "degenerate distortion": (
+            cg.measure_distortion(pseudo, cg.line_space(3), [0, 1, 2], [0, 1, 2]), {
+                "min_C": None, "worst_expand_pair": [0, 2], "worst_contract_pair": [1, 2],
+                "degenerate_pair": [0, 1],
+                "profile": [[1.0, 1.0], [2.0, 1.0], [4.0, 1.0], [5.0, 2.0]]}),
+        "net bijection": (cg.make_net_bijection(line4, line4, net, net, net.members), {
+            "domain_net": net_json, "range_net": net_json, "image": [0, 3],
+            "measured_C": 1.0, "K": 2.0}),
+        "decay profile": (cg.DecayProfile(1.0, 0, [(0.0, 2.0), (2.0, 0.5)]), {
+            "r": 1.0, "base": 0, "samples": [[0.0, 2.0], [2.0, 0.5]]}),
+        "convexity constants": (cg.ConvexityConstants(a=1.5, b=0.0, c=1.0), {
+            "a": 1.5, "b": 0.0, "c": 1.0}),
+        "one-vertex graph": (cg.build_geodesic_graph(cg.line_space(10), 20.0)[0], {
+            "vertices": {"members": [0], "K": 20.0, "delta": None, "cover_radius": 9.0},
+            "edges": [], "hop": [[0.0]], "c": 20.0}),
+        "validation report": (cg.from_distance_matrix([[0, 1], [1, 0]])[1], {
+            "worst_asymmetry": 0.0, "worst_triangle_defect": 0.0, "worst_negative": 0.0,
+            "worst_diagonal": 0.0, "tolerance": 1e-9, "verdict": "pass"}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_each_report_type_writes_its_schema_as_strict_json(name):
+    record, expected = _records()[name]
+    blob = record.to_dict()
+    assert blob == expected
+    assert json.loads(json.dumps(blob, allow_nan=False)) == expected
+    assert space_module.plain(record) == expected
+
+
+def test_plain_keeps_finite_arrays_and_nulls_the_rest():
+    table = np.array([[0.0, np.inf], [-np.inf, np.nan]])
+    assert space_module.plain({1: (table, np.arange(2), 2.5, math.nan)}) == {
+        "1": [[[0.0, None], [None, None]], [0, 1], 2.5, None]}
