@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
-    DEFAULT_TOLERANCE, FiniteMetricSpace, Record, check_bounds, check_point_ids, check_scale)
+    FiniteMetricSpace, Record, check_bounds, check_point_ids, check_scale, exceeds)
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,10 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
     """
     c = check_scale(c, "step bound c", positive=True)
     weights = np.where(space.dist <= c, space.dist, np.inf)
-    np.fill_diagonal(weights, np.inf)
     graph = csgraph_from_dense(weights, null_value=np.inf)
     table, pred = shortest_path(
         graph, method="D", directed=False, return_predecessors=True
     )
-    np.fill_diagonal(table, 0.0)
     return ChainMetric(c=c, table=table, predecessors=pred)
 
 
@@ -120,7 +118,7 @@ def convexity_constants(
             a = max(float(slopes.max()), 1.0)
         else:
             a = 1.0
-        if frontier and frontier[-1].a <= a + DEFAULT_TOLERANCE:
+        if frontier and not exceeds(frontier[-1].a, a):
             continue
         defect = float((cm.table - (a * space.dist + b)).max())
         check_bounds(

@@ -35,12 +35,12 @@ from .errors import (
 from .nets import Net, _as_order, greedy_separated_net, net_from_members
 from .space import (
     BLOCK_ROWS,
-    DEFAULT_TOLERANCE,
     FiniteMetricSpace,
     Record,
     check_bounds,
     check_point_ids,
     check_scale,
+    exceeds,
     max_entry,
     nearest_members,
     plain,
@@ -234,6 +234,14 @@ def default_radius_grid(diameter: float) -> list[float]:
     return grid
 
 
+def _distortion(dd: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    """Least C >= 1 with dd / C <= dr <= C * dd entrywise, over the last
+    two axes: the one distortion rule. A 0/0 entry asks nothing; an
+    entry with exactly one zero makes C infinite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmax(np.maximum(dr / dd, dd / dr), 1.0).max(axis=(-2, -1), initial=1.0)
+
+
 def measure_distortion(
     dom: FiniteMetricSpace,
     rng: FiniteMetricSpace,
@@ -257,39 +265,22 @@ def measure_distortion(
 
     dd = dom.dist[np.ix_(a, a)]
     dr = rng.dist[np.ix_(b, b)]
-    off = ~np.eye(a.size, dtype=bool)
-    both_zero = (dd == 0) & (dr == 0)
-    degenerate = off & ((dd == 0) ^ (dr == 0))
+    profile = _profile(dd, dr, default_radius_grid(float(dd.max(initial=0.0))))
+    min_C = float(_distortion(dd, dr))
 
-    # a point paired with itself lies within no radius
-    profile = _profile(
-        np.where(off, dd, np.inf), dr, default_radius_grid(float(dd.max(initial=0.0)))
-    )
+    def pair(table: np.ndarray) -> tuple[int, int]:
+        """The ids of the first pair (row-major) attaining ``table``'s maximum."""
+        i, j = np.unravel_index(int(np.argmax(table)), table.shape)
+        return int(a[i]), int(a[j])
 
-    deg_pair = None
-    if degenerate.any():
-        i, j = np.argwhere(degenerate)[0]
-        deg_pair = (int(a[i]), int(a[j]))
-
-    valid = off & ~both_zero & ~degenerate
+    degenerate = (dd == 0) != (dr == 0)
+    deg_pair = pair(degenerate) if degenerate.any() else None
+    valid = (dd > 0) & (dr > 0)
     if not valid.any():
-        return DistortionReport(1.0, None, None, deg_pair, profile)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expand = np.where(valid, dr / dd, -np.inf)
-        contract = np.where(valid, dd / dr, -np.inf)
-    ei, ej = np.unravel_index(int(np.argmax(expand)), expand.shape)
-    ci, cj = np.unravel_index(int(np.argmax(contract)), contract.shape)
-    min_C = max(float(expand[ei, ej]), float(contract[ci, cj]), 1.0)
-    if deg_pair is not None:
-        min_C = math.inf
-    return DistortionReport(
-        min_C=min_C,
-        worst_expand_pair=(int(a[ei]), int(a[ej])),
-        worst_contract_pair=(int(a[ci]), int(a[cj])),
-        degenerate_pair=deg_pair,
-        profile=profile,
-    )
+        return DistortionReport(min_C, None, None, deg_pair, profile)
+    expand = np.divide(dr, dd, out=np.full(dd.shape, -np.inf), where=valid)
+    contract = np.divide(dd, dr, out=np.full(dd.shape, -np.inf), where=valid)
+    return DistortionReport(min_C, pair(expand), pair(contract), deg_pair, profile)
 
 
 def make_net_bijection(
@@ -333,7 +324,7 @@ def extend_net_map(
     for space, net, side in ((dom, f.domain_net, "domain"), (rng, f.range_net, "range")):
         nearest, gaps = nearest_members(space, net.members)
         worst = int(np.argmax(gaps))
-        if gaps[worst] > K + DEFAULT_TOLERANCE:
+        if exceeds(gaps[worst], K):
             raise NetCoverViolation(
                 f"{side} net does not cover within K={K}: point {worst} "
                 f"is {gaps[worst]:g} away",
@@ -533,19 +524,7 @@ def min_distortion_bruteforce(
             f"{n} points exceeds the brute-force cap {BRUTEFORCE_CAP}",
             cap=BRUTEFORCE_CAP,
         )
-    if n == 0:
-        return 1.0, np.array([], dtype=np.intp)
-
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    dd = dom.dist[None, :, :]
-    dr = rng.dist[perms[:, :, None], perms[:, None, :]]
-    off = ~np.eye(n, dtype=bool)[None, :, :]
-    both_zero = (dd == 0) & (dr == 0)
-    degenerate = (dd == 0) ^ (dr == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.maximum(dr / dd, dd / dr)
-    ratio = np.where(off & ~both_zero, ratio, 1.0)
-    ratio = np.where(off & degenerate, np.inf, ratio)
-    worst = ratio.reshape(perms.shape[0], -1).max(axis=1)
+    worst = _distortion(dom.dist, rng.dist[perms[:, :, None], perms[:, None, :]])
     best = int(np.argmin(worst))
-    return max(float(worst[best]), 1.0), perms[best]
+    return float(worst[best]), perms[best]

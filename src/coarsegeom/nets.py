@@ -29,6 +29,7 @@ from .space import (
     check_scale,
     cover_radius_of,
     cover_witness,
+    exceeds,
     separation_of,
 )
 
@@ -128,7 +129,7 @@ def refine_net(space: FiniteMetricSpace, net: Net, K: float) -> Net:
     """
     K = check_scale(K, "K", positive=True)
     cover, worst = cover_witness(space, net.members)
-    if cover > K:
+    if exceeds(cover, K):
         raise NotANet(
             f"input is not a {K}-net: point {worst} is {cover:g} from it",
             K=K,

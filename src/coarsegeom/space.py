@@ -114,17 +114,23 @@ def check_point_ids(space: FiniteMetricSpace | int, ids) -> np.ndarray:
     return raw.astype(np.intp)
 
 
+def exceeds(measured: float, claimed: float) -> bool:
+    """Whether ``measured`` exceeds ``claimed`` beyond DEFAULT_TOLERANCE:
+    the one comparison every certificate and cover check makes. A nan
+    on either side always exceeds."""
+    return not measured <= claimed + DEFAULT_TOLERANCE
+
+
 def check_bounds(
     message: str, bounds: Mapping[str, tuple[float, float]], **payload
 ) -> None:
-    """Certify measured <= claimed + DEFAULT_TOLERANCE for each named
-    (claimed, measured) pair in ``bounds``: the one comparison every
-    certificate makes. On failure raise ``CertificateError`` naming the
-    failed bounds, with ``payload`` and, unless it has its own, the
-    claimed and measured values."""
+    """Certify that no measured value :func:`exceeds` its claimed one for
+    each named (claimed, measured) pair in ``bounds``. On failure raise
+    ``CertificateError`` naming the failed bounds, with ``payload`` and,
+    unless it has its own, the claimed and measured values."""
     failed = [
         name for name, (claimed, measured) in bounds.items()
-        if not measured <= claimed + DEFAULT_TOLERANCE
+        if exceeds(measured, claimed)
     ]
     if failed:
         raise CertificateError(f"{message}: {', '.join(failed)}", **{
@@ -139,9 +145,9 @@ def check_bounds(
 class FiniteMetricSpace:
     """A finite pseudo-metric space backed by a full distance table.
 
-    Construction refuses a table that is not square or holds a nan, an
-    infinity or a negative entry; the diagonal, symmetry and triangle
-    checks are :func:`from_distance_matrix`'s."""
+    Construction refuses a table that is not square, holds a nan, an
+    infinity or a negative entry, or has a nonzero diagonal; the
+    symmetry and triangle checks are :func:`from_distance_matrix`'s."""
 
     dist: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -156,6 +162,9 @@ class FiniteMetricSpace:
         if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
             i, j = np.argwhere(~(arr >= 0.0) | (arr == math.inf))[0]
             raise ValueError(f"distance ({i}, {j}) = {arr[i, j]} is not a finite number >= 0")
+        if np.diagonal(arr).any():
+            i = int(np.flatnonzero(np.diagonal(arr))[0])
+            raise ValueError(f"distance ({i}, {i}) = {arr[i, i]} is not 0")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.n} points"

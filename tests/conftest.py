@@ -25,13 +25,15 @@ def random_cloud_space(rng, n=None, dim=None, kind=None, duplicates=False):
 
 def planted_table(gen, n):
     """The manhattan table of n integer points in a small box (many ties,
-    duplicate points), with a few entries raised symmetrically so that
-    triangles fail."""
+    duplicate points), with a few off-diagonal entries raised
+    symmetrically so that triangles fail; the diagonal stays zero."""
     pts = gen.integers(0, 4 + n // 64, size=(n, int(gen.integers(1, 3))))
     dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
     for _ in range(int(gen.integers(0, 4)) if n else 0):
         i, k = gen.integers(0, n, size=2)
-        dist[i, k] = dist[k, i] = dist[i, k] + float(gen.choice([0.5, 1.0, 3.0]))
+        bump = float(gen.choice([0.5, 1.0, 3.0]))
+        if i != k:
+            dist[i, k] = dist[k, i] = dist[i, k] + bump
     return dist
 
 

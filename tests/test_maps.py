@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coarsegeom as cg
 from coarsegeom import maps
@@ -11,6 +11,7 @@ from coarsegeom.errors import (
     CertificateError,
     InjectivityFailure,
     NetCoverViolation,
+    NotANet,
     NotBijective,
     NonPositiveScale,
     NotDense,
@@ -50,6 +51,18 @@ def test_degenerate_pair_reports_infinite_C():
     report = cg.measure_distortion(pseudo, line, [0, 1, 2], [0, 1, 2])
     assert math.isinf(report.min_C)
     assert report.degenerate_pair == (0, 1)
+
+
+def test_a_degenerate_only_pairing_has_infinite_C():
+    # the only pair has d = 1 and d' = 0: min_C read 1.0, and extend certified C = 1
+    line, twin = cg.line_space(2), cg.FiniteMetricSpace(np.zeros((2, 2)))
+    report = cg.measure_distortion(line, twin, [0, 1], [0, 1])
+    assert math.isinf(report.min_C) and report.degenerate_pair == (0, 1)
+    assert math.isinf(cg.min_distortion_bruteforce(line, twin)[0])
+    net = cg.net_from_members(line, [0, 1], 1.0)
+    f = cg.make_net_bijection(line, twin, net, cg.net_from_members(twin, [0, 1], 1.0), [0, 1])
+    with pytest.raises(CertificateError, match="infinite distortion"):
+        cg.extend_net_map(line, twin, f)
 
 
 def test_distortion_profile_monotone(line10):
@@ -431,6 +444,34 @@ def test_measure_agrees_with_oracle_on_optimizer(seed):
     c_star, pairing = cg.min_distortion_bruteforce(dom, rng_space)
     report = cg.measure_distortion(dom, rng_space, np.arange(n), pairing)
     assert report.min_C == pytest.approx(c_star, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=6))
+@example(points=[(0, 0, 0, 0), (0, 0, 1, 0)])
+def test_oracle_optimum_is_the_measured_distortion_of_its_pairing(points):
+    # duplicate points give 0/0 and degenerate pairs, where the two rules disagreed
+    pts = np.array(points, dtype=float).reshape(-1, 4)
+    dom = cg.from_point_cloud(pts[:, :2], "manhattan")
+    rng = cg.from_point_cloud(pts[:, 2:])
+    c_star, pairing = cg.min_distortion_bruteforce(dom, rng)
+    assert c_star == cg.measure_distortion(dom, rng, range(len(pts)), pairing).min_C
+
+
+@pytest.mark.parametrize("excess, passes", [(5e-10, True), (2e-9, False)])
+def test_refine_and_extend_share_the_cover_comparison(excess, passes):
+    # cover 1 + 5e-10 passed extend's K = 1 check but refine refused it
+    sp = cg.FiniteMetricSpace([[0.0, 1.0 + excess], [1.0 + excess, 0.0]])
+    net = cg.net_from_members(sp, [0], 1.0)
+    f = cg.make_net_bijection(sp, sp, net, net, [0])
+    outcomes = []
+    for call in (lambda: cg.refine_net(sp, net, 1.0), lambda: cg.extend_net_map(sp, sp, f)):
+        try:
+            call()
+            outcomes.append(True)
+        except (NotANet, NetCoverViolation):
+            outcomes.append(False)
+    assert outcomes == [passes, passes]
 
 
 @pytest.mark.parametrize("bad", [-1, 42, 0.5, None])

@@ -377,6 +377,21 @@ def test_constructor_refuses_a_table_that_is_not_square(table, shape):
     assert cg.FiniteMetricSpace(np.zeros((0, 0))).n == 0
 
 
+def test_constructor_refuses_a_nonzero_diagonal():
+    table = cg.line_space(4).dist.copy()
+    table[1, 1], table[3, 3] = 0.5, 2.0
+    with pytest.raises(ValueError, match=re.escape("distance (1, 1) = 0.5 is not 0")):
+        cg.FiniteMetricSpace(table)
+
+
+@pytest.mark.parametrize("measured, claimed, exceeds", [
+    (1.0 + 1e-9, 1.0, False), (1.0 + 2e-9, 1.0, True), (np.nan, 1.0, True),
+    (0.0, np.nan, True), (-np.inf, 0.0, False), (np.inf, np.inf, False),
+])
+def test_exceeds_is_the_one_comparison(measured, claimed, exceeds):
+    assert space_module.exceeds(measured, claimed) is exceeds
+
+
 def test_a_nan_table_certifies_nothing():
     # the scans skipped the nan's row block: c = 0 was certified, pair (1, 0) needs 2
     table = cg.line_space(4).dist.copy()
