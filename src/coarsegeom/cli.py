@@ -235,13 +235,6 @@ def _function_rows(f: BoundedFunction) -> list:
             *zip(range(len(f)), f.values.real.tolist(), f.values.imag.tolist())]
 
 
-def _function_json(f: BoundedFunction) -> dict:
-    return {
-        "values": [[float(v.real), float(v.imag)] for v in f.values],
-        "sup_norm": f.sup_norm,
-    }
-
-
 def _emit(args, payload, csv_rows=None, dot_text=None):
     if args.format == "csv":
         buf = io.StringIO()
@@ -360,14 +353,14 @@ def _cmd_decay(args, space):
 
 def _cmd_bump(args, space):
     f = bump_function(space, _int_list(args.centers), _float_list(args.radii), args.base)
-    _emit(args, _function_json(f), csv_rows=_function_rows(f))
+    _emit(args, f, csv_rows=_function_rows(f))
 
 
 def _cmd_pextend(args, space):
     part = _read_partition(space, args.partition)
     f = _load_function(args.values, len(part.enumeration_order))
     extended = partition_extend(space, part, f)
-    _emit(args, _function_json(extended), csv_rows=_function_rows(extended))
+    _emit(args, extended, csv_rows=_function_rows(extended))
 
 
 def _cmd_oracle(args, dom, rng):

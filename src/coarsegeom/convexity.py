@@ -49,10 +49,7 @@ class ChainMetric:
             return None
         path = [y]
         while path[-1] != x:
-            prev = int(self.predecessors[x, path[-1]])
-            if prev < 0:
-                return None
-            path.append(prev)
+            path.append(int(self.predecessors[x, path[-1]]))
         return path[::-1]
 
     def is_connected(self) -> bool:
@@ -112,12 +109,9 @@ def convexity_constants(
     positive = space.dist > 0
     frontier: list[ConvexityConstants] = []
     for b in sorted(check_scale(b, "offset b") for b in b_grid):
-        if positive.any():
-            with np.errstate(invalid="ignore", divide="ignore"):
-                slopes = np.where(positive, (cm.table - b) / space.dist, -np.inf)
-            a = max(float(slopes.max()), 1.0)
-        else:
-            a = 1.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            slopes = np.where(positive, (cm.table - b) / space.dist, -np.inf)
+        a = max(float(slopes.max(initial=-np.inf)), 1.0)
         if frontier and not exceeds(frontier[-1].a, a):
             continue
         defect = float((cm.table - (a * space.dist + b)).max())
@@ -154,6 +148,11 @@ class GeodesicGraph(Record):
         return "\n".join(lines)
 
 
+def _slope(a: float, b: float, c: float) -> float:
+    """The claimed slope (a*c + b) / c^2, infinite where c^2 underflows to 0."""
+    return (a * c + b) / (c * c) if c * c else math.inf
+
+
 def build_geodesic_graph(
     space: FiniteMetricSpace,
     c: float,
@@ -169,8 +168,9 @@ def build_geodesic_graph(
     c = check_scale(c, "scale c", positive=True)
     if constants is None:
         frontier = convexity_constants(space, c)
-        constants = min(frontier, key=lambda k: (k.a * c + k.b) / (c * c))
+        constants = min(frontier, key=lambda k: _slope(k.a, k.b, c))
     a, b = check_scale(constants.a, "constant a"), check_scale(constants.b, "constant b")
+    slope = check_scale(_slope(a, b, c), "claimed slope (a*c + b) / c^2")
 
     net = greedy_separated_net(space, c, order)
     members = net.members
@@ -192,7 +192,6 @@ def build_geodesic_graph(
             witness=[int(members[i]), int(members[j])],
         )
 
-    slope = (a * c + b) / (c * c)
     upper_defect = float((hop - slope * sub)[off].max(initial=-math.inf))
     lower_defect = float((sub - 3.0 * c * hop)[off].max(initial=-math.inf))
     report = {

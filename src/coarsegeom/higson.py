@@ -18,12 +18,13 @@ import numpy as np
 
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, partition_from_cells
-from .space import BLOCK_ROWS, FiniteMetricSpace, Record, check_point_ids, check_scale
+from .space import BLOCK_ROWS, FiniteMetricSpace, Record, check_point_ids, check_scale, plain
 
 
 @dataclass(frozen=True)
-class BoundedFunction:
-    """Complex-valued function on the points of a space."""
+class BoundedFunction(Record):
+    """Complex-valued function on the points of a space; its JSON form
+    holds each value as a ``[re, im]`` pair."""
 
     values: np.ndarray
     sup_norm: float = field(init=False)
@@ -52,6 +53,10 @@ class BoundedFunction:
         """Pullback along a map into this function's space; an id that
         is not one of its points raises ``UnknownPoint``."""
         return BoundedFunction(self.values[check_point_ids(len(self), mapping)])
+
+    def to_dict(self) -> dict:
+        return plain({"values": np.stack([self.values.real, self.values.imag], axis=1),
+                      "sup_norm": self.sup_norm})
 
 
 @dataclass(frozen=True)

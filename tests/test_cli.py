@@ -899,3 +899,42 @@ def test_cli_json_is_strict(line10_csv, bad_csv, tmp_path, argv, code, stream):
     assert result.returncode == code
     blob = _strict_json(getattr(result, stream))
     assert ("error" in blob) == (stream == "stderr")
+
+
+# --- the distortion rule and the claimed slope ---
+
+def test_extend_refuses_a_degenerate_only_pairing(tmp_path):
+    # the one pair has d = 1, d' = 0: distort printed min_C 1.0 and extend exited 0
+    (tmp_path / "two.csv").write_text("0,1\n1,0\n")
+    (tmp_path / "twin.csv").write_text("0,0\n0,0\n")
+    net = {"members": [0, 1], "K": 1.0}
+    (tmp_path / "f.json").write_text(json.dumps(
+        {"domain_net": net, "range_net": net, "image": [0, 1], "K": 1.0}))
+    argv = ["--input", tmp_path / "two.csv", "--input2", tmp_path / "twin.csv",
+            "--bijection", tmp_path / "f.json"]
+    assert _strict_json(run_cli("distort", *argv).stdout)["min_C"] is None
+    result = run_cli("extend", *argv, check=False)
+    assert result.returncode == 2 and result.stdout == ""
+    assert _strict_json(result.stderr)["error"] == "CertificateError"
+
+
+@pytest.mark.parametrize("table, argv", [
+    ("0\n", ["--c", "1e-200", "--a", 1, "--b", 0]),  # c * c underflows: ZeroDivisionError
+    ("0\n", ["--c", "1e-200"]),
+    (None, ["--c", 0.5, "--a", "1e308", "--b", 0]),  # slope overflows: a nan defect passed
+])
+def test_graph_refuses_a_slope_out_of_range(line10_csv, tmp_path, table, argv):
+    path = line10_csv
+    if table is not None:
+        path = tmp_path / "one.csv"
+        path.write_text(table)
+    result = run_cli("graph", "--input", path, *argv, check=False)
+    assert result.returncode == 64 and result.stdout == ""
+    assert result.stderr == ("coarsegeom: error: claimed slope (a*c + b) / c^2 "
+                             "must be a finite number >= 0, got inf\n")
+
+
+def test_graph_needs_a_and_b_together(line10_csv):
+    result = run_cli("graph", "--input", line10_csv, "--c", 1, "--a", 1, check=False)
+    assert result.returncode == 64
+    assert result.stderr == "coarsegeom: error: --a and --b must be given together\n"

@@ -318,3 +318,10 @@ def test_chain_between_checks_the_ids(line10, x, y):
     with pytest.raises(UnknownPoint):
         cm.chain_between(x, y)
     assert cm.chain_between(2, 5) == [2, 3, 4, 5]
+
+
+def test_a_one_point_table_has_slope_one_at_every_offset():
+    point = cg.FiniteMetricSpace([[0.0]])
+    assert cg.convexity_constants(point, 1.0) == [cg.ConvexityConstants(a=1.0, b=0.0, c=1.0)]
+    assert cg.convexity_constants(point, 2.0, b_grid=[3.0]) == [
+        cg.ConvexityConstants(a=1.0, b=3.0, c=2.0)]
