@@ -31,16 +31,18 @@ class NonPositiveScale(ValueError):
 
 
 # --- distance table validation ---
+# the entry errors of ``space.check_entries`` are also ValueErrors, the
+# class a ``FiniteMetricSpace`` documents for a table it refuses
 
-class NonFiniteEntry(CoarseGeomError):
+class NonFiniteEntry(CoarseGeomError, ValueError):
     pass
 
 
-class NegativeEntryError(CoarseGeomError):
+class NegativeEntryError(CoarseGeomError, ValueError):
     pass
 
 
-class DiagonalError(CoarseGeomError):
+class DiagonalError(CoarseGeomError, ValueError):
     pass
 
 

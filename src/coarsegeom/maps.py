@@ -44,6 +44,7 @@ from .space import (
     max_entry,
     nearest_members,
     plain,
+    within,
 )
 
 # factorial enumeration stays sub-second up to here
@@ -427,16 +428,15 @@ def closeness_gap(
     r: float,
 ) -> float | None:
     """Least s making f and g (r, s)-close, or None if the nets are not
-    mutually r-dense."""
+    mutually r-dense; every distance bound is a :func:`space.within` test."""
     r = check_scale(r, "r")
     a, b = f.domain_net.members, g.domain_net.members
     d_nets = dom.dist[np.ix_(a, b)]
-    if float(d_nets.min(axis=1).max()) > r:
-        return None
-    if float(d_nets.min(axis=0).max()) > r:  # the table is symmetric
+    # the table is symmetric, so columns give the reverse density
+    if exceeds(d_nets.min(axis=1).max(), r) or exceeds(d_nets.min(axis=0).max(), r):
         return None
     d_images = rng.dist[np.ix_(f.image, g.image)]
-    return float(d_images[d_nets <= r].max())
+    return float(d_images[within(d_nets, r)].max())
 
 
 def _profile(
@@ -485,13 +485,14 @@ def quasi_inverse(
 ) -> np.ndarray:
     """Pick psi with d'(f(psi(x')), x') <= N for every x' in the range space.
 
-    Requires the image of ``mapping`` to be N-dense; the selection is
-    the first qualifying preimage point in ``order``, a permutation.
+    Requires the image of ``mapping`` to be N-dense, each distance
+    :func:`space.within` N; the selection is the first qualifying
+    preimage point in ``order``, a permutation.
     """
     N = check_scale(N, "N")
     m = _mapping_array(dom, rng, mapping)
     scan = _as_order(dom, order)
-    hits = rng.dist[m[scan], :] <= N
+    hits = within(rng.dist[m[scan], :], N)
     covered = hits.any(axis=0)
     if not covered.all():
         witness = int(np.flatnonzero(~covered)[0])

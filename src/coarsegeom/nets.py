@@ -31,6 +31,7 @@ from .space import (
     cover_witness,
     exceeds,
     separation_of,
+    within,
 )
 
 
@@ -178,7 +179,7 @@ def partition_from_cells(
             raise InvalidPartition(
                 f"the cell of member {x} does not contain it", member=x
             )
-        far = cell[space.dist[x, cell] > K]
+        far = cell[~within(space.dist[x, cell], K)]
         if far.size:
             raise InvalidPartition(
                 f"point {far[0]} of the cell of member {x} is "

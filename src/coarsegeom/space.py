@@ -114,11 +114,16 @@ def check_point_ids(space: FiniteMetricSpace | int, ids) -> np.ndarray:
     return raw.astype(np.intp)
 
 
-def exceeds(measured: float, claimed: float) -> bool:
-    """Whether ``measured`` exceeds ``claimed`` beyond DEFAULT_TOLERANCE:
-    the one comparison every certificate and cover check makes. A nan
-    on either side always exceeds."""
-    return not measured <= claimed + DEFAULT_TOLERANCE
+def within(measured, claimed, tolerance: float = DEFAULT_TOLERANCE):
+    """Whether ``measured`` <= ``claimed`` + ``tolerance``, for a number or
+    entrywise for an array: the one comparison every bound, cover,
+    density and table check makes. A nan on either side is never within."""
+    return measured <= claimed + tolerance
+
+
+def exceeds(measured: float, claimed: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
+    """Whether ``measured`` is not :func:`within` ``claimed``."""
+    return not within(measured, claimed, tolerance)
 
 
 def check_bounds(
@@ -146,8 +151,9 @@ class FiniteMetricSpace:
     """A finite pseudo-metric space backed by a full distance table.
 
     Construction refuses a table that is not square, holds a nan, an
-    infinity or a negative entry, or has a nonzero diagonal; the
-    symmetry and triangle checks are :func:`from_distance_matrix`'s."""
+    infinity or a negative entry, or has a nonzero diagonal
+    (:func:`check_entries` at tolerance 0); the symmetry and triangle
+    checks are :func:`from_distance_matrix`'s."""
 
     dist: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -156,15 +162,7 @@ class FiniteMetricSpace:
         arr = np.ascontiguousarray(self.dist, dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(self, "dist", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"distance table must be square, got shape {arr.shape}")
-        # nan fails both comparisons; the witness is searched only on failure
-        if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
-            i, j = np.argwhere(~(arr >= 0.0) | (arr == math.inf))[0]
-            raise ValueError(f"distance ({i}, {j}) = {arr[i, j]} is not a finite number >= 0")
-        if np.diagonal(arr).any():
-            i = int(np.flatnonzero(np.diagonal(arr))[0])
-            raise ValueError(f"distance ({i}, {i}) = {arr[i, i]} is not 0")
+        check_entries(arr, 0.0)
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.n} points"
@@ -198,7 +196,7 @@ class MetricValidationReport(Record):
 
     def __post_init__(self):
         ok = all(
-            v <= self.tolerance
+            within(v, 0.0, self.tolerance)
             for v in (
                 self.worst_asymmetry,
                 self.worst_triangle_defect,
@@ -210,6 +208,39 @@ class MetricValidationReport(Record):
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "verdict": "pass" if self.verdict else "fail"}
+
+
+def check_entries(arr: np.ndarray, tolerance: float) -> tuple[float, float]:
+    """The one check of a table's cheap axioms: refuse a table that is not
+    square (``ValueError``), or holds a nan or an infinity
+    (``NonFiniteEntry``), an entry below -``tolerance``
+    (``NegativeEntryError``) or a diagonal entry beyond ``tolerance``
+    (``DiagonalError``), naming the first offending entry in row-major
+    order, a non-finite one before a negative one. Return the worst
+    negative and diagonal deviations. A min and a max reduction decide;
+    the witness is searched only on failure."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"distance table must be square, got shape {arr.shape}")
+    if not arr.size:
+        return 0.0, 0.0
+    # a nan propagates through both reductions
+    low, high = float(arr.min()), float(arr.max())
+    finite = math.isfinite(low) and math.isfinite(high)
+    diagonal = np.abs(np.diagonal(arr))
+    worst_diagonal = float(diagonal.max())
+    if finite and within(-low, 0.0, tolerance) and within(worst_diagonal, 0.0, tolerance):
+        return max(0.0, -low), worst_diagonal
+    bad = ~within(-arr, 0.0, tolerance) if finite else ~np.isfinite(arr)
+    if bad.any():
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        value = float(arr[i, j])
+        message = f"distance ({i}, {j}) = {value} is not a finite number >= 0"
+        if not finite:
+            raise NonFiniteEntry(message, pair=[i, j])
+        raise NegativeEntryError(message, pair=[i, j], value=value)
+    i = int(np.argmax(~within(diagonal, 0.0, tolerance)))
+    raise DiagonalError(f"distance ({i}, {i}) = {float(arr[i, i])} is not 0",
+                        point=i, value=float(arr[i, i]))
 
 
 def max_entry(keys: Iterable, block: Callable[[object], np.ndarray]) -> tuple[float, tuple]:
@@ -245,7 +276,7 @@ def from_distance_matrix(
 ) -> tuple[FiniteMetricSpace, MetricValidationReport]:
     """Validate a raw distance table and build a space from it.
 
-    Checks run in order: finiteness, nonnegativity, zero diagonal,
+    Checks run in order: the cheap axioms (:func:`check_entries`),
     symmetry, triangle inequality. Violations beyond ``tolerance``
     raise, naming an offending pair or triple; deviations within
     tolerance are repaired (entries clamped, table symmetrized as
@@ -254,34 +285,11 @@ def from_distance_matrix(
     """
     tolerance = check_scale(tolerance, "tolerance")
     arr = np.asarray(table, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"distance table must be square, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise NonFiniteEntry(
-            f"non-finite distance at ({i},{j})", pair=[int(i), int(j)]
-        )
-
-    worst_negative = max(0.0, float(-arr.min()))
-    if worst_negative > tolerance:
-        i, j = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        raise NegativeEntryError(
-            f"negative distance {arr[i, j]} at ({i},{j})",
-            pair=[int(i), int(j)],
-            value=float(arr[i, j]),
-        )
-
-    diag = np.abs(np.diagonal(arr))
-    worst_diagonal = float(diag.max()) if arr.size else 0.0
-    if worst_diagonal > tolerance:
-        i = int(np.argmax(diag))
-        raise DiagonalError(
-            f"d({i},{i}) = {arr[i, i]} != 0", point=i, value=float(arr[i, i])
-        )
+    worst_negative, worst_diagonal = check_entries(arr, tolerance)
 
     asym = np.abs(arr - arr.T)
     worst_asymmetry = float(asym.max()) if arr.size else 0.0
-    if worst_asymmetry > tolerance:
+    if exceeds(worst_asymmetry, 0.0, tolerance):
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise AsymmetryError(
             f"d({i},{j}) = {arr[i, j]} but d({j},{i}) = {arr[j, i]}",
@@ -293,7 +301,7 @@ def from_distance_matrix(
     np.fill_diagonal(repaired, 0.0)
 
     defect, (i, j, k) = worst_triangle_defect(repaired)
-    if defect > tolerance:
+    if exceeds(defect, 0.0, tolerance):
         raise TriangleError(
             f"d({i},{k}) = {repaired[i, k]} > d({i},{j}) + d({j},{k}) = "
             f"{repaired[i, j] + repaired[j, k]}",
