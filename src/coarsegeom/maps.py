@@ -127,7 +127,7 @@ def large_scale_map(
     slack, (x, y) = additive_slack(dom, rng, f.mapping, lam)
     check_bounds(
         f"claimed (lambda={lam}, c={c}) fails at pair ({x},{y}): "
-        f"needs c >= {slack:g}",
+        f"needs c >= {slack!r}",
         {"c": (c, slack)},
         pair=[x, y],
         required_c=slack,
@@ -325,13 +325,14 @@ def extend_net_map(
     for space, net, side in ((dom, f.domain_net, "domain"), (rng, f.range_net, "range")):
         nearest, gaps = nearest_members(space, net.members)
         worst = int(np.argmax(gaps))
-        if exceeds(gaps[worst], K):
+        cover = float(gaps[worst])
+        if exceeds(cover, K):
             raise NetCoverViolation(
                 f"{side} net does not cover within K={K}: point {worst} "
-                f"is {gaps[worst]:g} away",
+                f"is {cover!r} away",
                 side=side,
                 witness=worst,
-                cover=float(gaps[worst]),
+                cover=cover,
             )
         snapped.append(nearest)
 
@@ -499,7 +500,7 @@ def quasi_inverse(
         gap = float(rng.dist[m, witness].min())
         raise NotDense(
             f"image is not {N}-dense: point {witness} of the range space "
-            f"is {gap:g} from it",
+            f"is {gap!r} from it",
             N=N,
             witness=witness,
             gap=gap,

@@ -132,9 +132,10 @@ def refine_net(space: FiniteMetricSpace, net: Net, K: float) -> Net:
     cover, worst = cover_witness(space, net.members)
     if exceeds(cover, K):
         raise NotANet(
-            f"input is not a {K}-net: point {worst} is {cover:g} from it",
+            f"input is not a {K}-net: point {worst} is {cover!r} from it",
             K=K,
             witness=worst,
+            cover=cover,
         )
     return net_from_members(space, _greedy_scan(space, net.members, K), 2.0 * K)
 
@@ -183,7 +184,7 @@ def partition_from_cells(
         if far.size:
             raise InvalidPartition(
                 f"point {far[0]} of the cell of member {x} is "
-                f"{space.dist[x, far[0]]:g} > K = {K} from it",
+                f"{float(space.dist[x, far[0]])!r} > K = {K} from it",
                 member=x,
                 witness=int(far[0]),
             )

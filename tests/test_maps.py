@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from coarsegeom import maps
 from coarsegeom.errors import (
     CertificateError,
     InjectivityFailure,
+    InvalidPartition,
     NetCoverViolation,
     NotANet,
     NotBijective,
@@ -19,6 +21,7 @@ from coarsegeom.errors import (
     TooLarge,
     UnknownPoint,
 )
+from coarsegeom.nets import partition_from_cells
 from conftest import planted_table, random_net_bijection
 
 
@@ -472,6 +475,53 @@ def test_refine_and_extend_share_the_cover_comparison(excess, passes):
         except (NotANet, NetCoverViolation):
             outcomes.append(False)
     assert outcomes == [passes, passes]
+
+
+def _two_points(excess):
+    """The two-point table at distance 1 + ``excess`` and a call per bound
+    test against 1: None when the bound is refused, else its result."""
+    sp = cg.FiniteMetricSpace([[0.0, 1.0 + excess], [1.0 + excess, 0.0]])
+
+    def bijection(member):
+        net = cg.net_from_members(sp, [member], 1.0)
+        return cg.make_net_bijection(sp, sp, net, net, [member])
+
+    return sp, {
+        "refine_net": lambda: cg.refine_net(sp, cg.net_from_members(sp, [0], 1.0), 1.0),
+        "extend_net_map": lambda: cg.extend_net_map(sp, sp, bijection(0)),
+        "partition_from_cells": lambda: partition_from_cells(sp, {0: [0, 1]}, 1.0, [0]),
+        "closeness_gap": lambda: cg.closeness_gap(sp, sp, bijection(0), bijection(1), 1.0),
+        "quasi_inverse": lambda: cg.quasi_inverse(sp, sp, [0, 0], 1.0),
+        "large_scale_map": lambda: cg.large_scale_map(
+            cg.FiniteMetricSpace(np.zeros((2, 2))), sp, [0, 1], 1.0, 1.0),
+    }
+
+
+@pytest.mark.parametrize("excess, passes", [(5e-10, True), (2e-9, False)])
+def test_every_reach_and_density_bound_shares_the_comparison(excess, passes):
+    # at 1 + 5e-10 the reach and density tests refused what extend accepted
+    outcomes = {}
+    for name, call in _two_points(excess)[1].items():
+        try:
+            outcomes[name] = call() is not None
+        except (NotANet, NetCoverViolation, InvalidPartition, NotDense, CertificateError):
+            outcomes[name] = False
+    assert outcomes == dict.fromkeys(outcomes, passes)
+
+
+@pytest.mark.parametrize("name, error", [
+    ("refine_net", NotANet), ("extend_net_map", NetCoverViolation),
+    ("partition_from_cells", InvalidPartition), ("quasi_inverse", NotDense),
+    ("large_scale_map", CertificateError),
+])
+def test_a_refusal_names_a_value_beyond_its_bound(name, error):
+    # ":g" printed 1.000000002 as 1, a value that meets the bound it broke
+    with pytest.raises(error) as err:
+        _two_points(2e-9)[1][name]()
+    named = re.search(r"(?:is|>=) (\S+)(?: from it| away| >|:)", str(err.value)).group(1)
+    assert float(named) == 1.0 + 2e-9 > 1.0
+    if error is NotANet:
+        assert err.value.payload["cover"] == 1.0 + 2e-9
 
 
 @pytest.mark.parametrize("bad", [-1, 42, 0.5, None])

@@ -221,3 +221,12 @@ def test_net_properties_invariant_under_relabeling(seed):
     # scan the relabeled space in the order induced by the original ids
     net = cg.greedy_separated_net(relabeled, K, order=np.argsort(perm))
     verify_separated_net(relabeled, net, K)
+
+
+def test_borel_cells_stay_exact_balls():
+    # cells of B(x, K + tolerance) would put member 1 in member 0's cell
+    sp = cg.FiniteMetricSpace([[0.0, 1.0 + 5e-10], [1.0 + 5e-10, 0.0]])
+    net = cg.greedy_separated_net(sp, 1.0)
+    assert net.members.tolist() == [0, 1]
+    cells = cg.borel_partition(sp, net, 1.0).cells
+    assert {x: cell.tolist() for x, cell in cells.items()} == {0: [0], 1: [1]}

@@ -384,6 +384,64 @@ def test_constructor_refuses_a_nonzero_diagonal():
         cg.FiniteMetricSpace(table)
 
 
+@pytest.mark.parametrize("planted, error, message, payload", [
+    ({(0, 1): -1.0, (2, 3): -2.0}, NegativeEntryError,
+     "distance (0, 1) = -1.0 is not a finite number >= 0", {"pair": [0, 1], "value": -1.0}),
+    ({(1, 1): 0.5, (3, 3): 2.0}, DiagonalError,
+     "distance (1, 1) = 0.5 is not 0", {"point": 1, "value": 0.5}),
+    ({(0, 1): np.nan, (2, 3): -1.0}, NonFiniteEntry,
+     "distance (0, 1) = nan is not a finite number >= 0", {"pair": [0, 1]}),
+    ({(0, 1): -1.0, (2, 3): np.inf}, NonFiniteEntry,
+     "distance (2, 3) = inf is not a finite number >= 0", {"pair": [2, 3]}),
+])
+def test_constructor_and_validator_name_the_first_bad_entry(planted, error, message, payload):
+    # the validator named the most negative entry, the largest diagonal and its own wording
+    table = cg.line_space(4).dist.copy()
+    for (i, j), value in planted.items():
+        table[i, j] = table[j, i] = value
+    for build in (cg.FiniteMetricSpace, lambda t: cg.from_distance_matrix(t, tolerance=0.0)):
+        with pytest.raises(error, match=re.escape(message)) as err:
+            build(table)
+        assert isinstance(err.value, ValueError)
+        assert err.value.payload == payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), planted=st.lists(st.tuples(
+    st.integers(0, 5), st.integers(0, 5),
+    st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -1e-300, 0.5, 2.0])), max_size=4))
+def test_constructor_refuses_a_table_as_the_validator_does(n, planted):
+    table = cg.line_space(n).dist.copy()
+    for i, j, value in planted:
+        table[i % n, j % n] = value
+    try:
+        cg.FiniteMetricSpace(table)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as err:
+            cg.from_distance_matrix(table, tolerance=0.0)
+        assert type(err.value) is type(refusal)
+        assert str(err.value) == str(refusal)
+        assert err.value.payload == refusal.payload
+
+
+@pytest.mark.parametrize("tolerance, refused", [(0.0, True), (1e-9, False)])
+def test_check_entries_refuses_beyond_its_tolerance(tolerance, refused):
+    table = np.array([[5e-10, -5e-10], [-5e-10, 0.0]])
+    if refused:
+        with pytest.raises(NegativeEntryError):
+            space_module.check_entries(table, tolerance)
+    else:
+        assert space_module.check_entries(table, tolerance) == (5e-10, 5e-10)
+
+
+def test_within_compares_numbers_and_arrays_alike():
+    measured = np.array([1.0 + 5e-10, 1.0 + 2e-9, np.nan])
+    assert space_module.within(measured, 1.0).tolist() == [True, False, False]
+    assert [space_module.within(v, 1.0) for v in measured] == [True, False, False]
+    assert space_module.exceeds(1.5, 1.0, tolerance=0.5) is False
+    assert space_module.exceeds(1.5, 1.0, tolerance=0.25) is True
+
+
 @pytest.mark.parametrize("measured, claimed, exceeds", [
     (1.0 + 1e-9, 1.0, False), (1.0 + 2e-9, 1.0, True), (np.nan, 1.0, True),
     (0.0, np.nan, True), (-np.inf, 0.0, False), (np.inf, np.inf, False),
