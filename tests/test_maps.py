@@ -478,8 +478,9 @@ def test_refine_and_extend_share_the_cover_comparison(excess, passes):
 
 
 def _two_points(excess):
-    """The two-point table at distance 1 + ``excess`` and a call per bound
-    test against 1: None when the bound is refused, else its result."""
+    """The two-point table at distance 1 + ``excess`` and one call per
+    bound test against 1; a refused bound raises, or for
+    ``closeness_gap`` returns None."""
     sp = cg.FiniteMetricSpace([[0.0, 1.0 + excess], [1.0 + excess, 0.0]])
 
     def bijection(member):
