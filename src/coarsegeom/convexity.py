@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
@@ -70,6 +69,8 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
 
     Zero-length steps (pseudo-metric duplicates) are legitimate edges.
     """
+    from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
+
     c = check_scale(c, "step bound c", positive=True)
     weights = np.where(space.dist <= c, space.dist, np.inf)
     graph = csgraph_from_dense(weights, null_value=np.inf)
@@ -165,6 +166,8 @@ def build_geodesic_graph(
     metric, choosing the frontier pair minimizing the claimed slope
     (a*c + b) / c^2.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     c = check_scale(c, "scale c", positive=True)
     if constants is None:
         frontier = convexity_constants(space, c)

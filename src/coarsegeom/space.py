@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     AsymmetryError,
@@ -262,10 +261,14 @@ def worst_triangle_defect(dist: np.ndarray) -> tuple[float, tuple[int, int, int]
     """Max over triples of d(i,k) - d(i,j) - d(j,k) and an attaining triple.
 
     Positive defect means the triangle inequality fails through
-    intermediate point j.
+    intermediate point j. Every block is written into one n x n buffer;
+    ``max_entry`` reads a block's maximum before it asks for the next.
     """
+    buf = np.empty_like(dist)
     worst, (j, i, k) = max_entry(
-        range(len(dist)), lambda j: dist - (dist[:, j][:, None] + dist[j, :][None, :]))
+        range(len(dist)),
+        lambda j: np.subtract(dist, np.add(dist[:, j, None], dist[j, None, :], out=buf),
+                              out=buf))
     return worst, (i, j, k)
 
 
@@ -342,6 +345,8 @@ def from_point_cloud(
             f"unknown metric kind {metric_kind!r}; "
             f"expected one of {sorted(_SCIPY_METRIC)}"
         )
+    from scipy.spatial.distance import pdist, squareform
+
     # symmetric with zero diagonal by construction; [:n, :n] keeps n = 0 empty
     dist = squareform(pdist(pts, metric=_SCIPY_METRIC[metric_kind]))
     return FiniteMetricSpace(dist[: len(pts), : len(pts)])
@@ -410,13 +415,20 @@ def _is_number(tok: str) -> bool:
 
 def _read_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
     """The numeric rows of a CSV file as an array, and its first row if
-    that is a header, holding no number; blank lines are skipped."""
+    that is a header, holding no number; blank lines are skipped. A data
+    row whose length differs from the first one's is refused by its line
+    number, blank lines counted."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = None if any(map(_is_number, rows[0])) else rows.pop(0)
-    return np.array([[float(tok) for tok in row] for row in rows]), header
+    header = None if any(map(_is_number, rows[0][1])) else rows.pop(0)[1]
+    for line, row in rows:
+        if len(row) != len(rows[0][1]):
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, "
+                             f"line {rows[0][0]} has {len(rows[0][1])}")
+    return np.array([[float(tok) for tok in row] for _, row in rows]), header
 
 
 def load_distance_matrix_csv(path: str) -> tuple[np.ndarray, list[str] | None]:

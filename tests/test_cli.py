@@ -869,6 +869,73 @@ def test_malformed_csv_inputs_exit_cleanly(csv_fuzz_dir, command, mutation):
         assert result.stderr.startswith("coarsegeom: error:") or result.returncode == 66
 
 
+@pytest.mark.parametrize("mutation, extra", [("ragged row", -1), ("extra column", 1)])
+@pytest.mark.parametrize("command", sorted(_CSV_FUZZED))
+def test_a_ragged_csv_names_its_line(csv_fuzz_dir, command, mutation, extra):
+    # numpy's "inhomogeneous shape" error named no row
+    header, *rows = _CSV_FUZZED[command][0]
+    path = csv_fuzz_dir / "input.csv"
+    path.write_bytes(_csv_bytes(_CSV_MUTATIONS[mutation](header, rows)))
+    result = run_cli(*_csv_argv(csv_fuzz_dir, command, path), check=False)
+    width = len(rows[0].split(","))
+    assert (result.returncode, result.stdout) == (64, "")
+    assert result.stderr == (f"coarsegeom: error: {path}: line 4 has {width + extra} "
+                             f"fields, line 2 has {width}\n")
+
+
+# --- table subcommands never load scipy ---
+
+_NO_SCIPY = r"""
+import contextlib, io, json, sys
+from coarsegeom import cli
+
+d = sys.argv[1]
+def run(code, *argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = cli.main([a.format(d=d) for a in argv])
+    assert got == code, (argv, got)
+    return out.getvalue()
+
+run(0, "validate", "--input", "{d}/line10.csv")
+run(2, "validate", "--input", "{d}/bad.csv")
+run(0, "net", "--input", "{d}/line10.csv", "--K", "2", "--output", "{d}/net.json")
+with open(d + "/net.json") as fh:
+    members = json.load(fh)["members"]
+run(0, "partition", "--input", "{d}/line10.csv", "--net", "{d}/net.json", "--K", "2",
+    "--output", "{d}/part.json")
+with open(d + "/values.csv", "w") as fh:
+    fh.write("value\n" + "".join(f"{i}\n" for i in range(len(members))))
+run(0, "pextend", "--input", "{d}/line10.csv", "--partition", "{d}/part.json",
+    "--values", "{d}/values.csv", "--format", "csv", "--output", "{d}/pext.csv")
+with open(d + "/bij.json", "w") as fh:
+    net = {"members": members, "K": 2.0}
+    json.dump({"domain_net": net, "range_net": net, "image": members}, fh)
+run(0, "extend", "--input", "{d}/line10.csv", "--input2", "{d}/line10.csv",
+    "--bijection", "{d}/bij.json", "--output", "{d}/ext.json")
+run(0, "restrict", "--input", "{d}/line10.csv", "--input2", "{d}/line10.csv",
+    "--pair", "{d}/ext.json", "--epsilon", "1")
+run(0, "decay", "--input", "{d}/line10.csv", "--fn", "{d}/pext.csv", "--r", "1",
+    "--base", "0", "--grid", "0,2")
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+
+import coarsegeom as cg
+cg.chain_metric(cg.line_space(4), 1.0)
+assert "scipy.sparse.csgraph" in sys.modules
+print("ok")
+"""
+
+
+def test_table_subcommands_never_import_scipy(tmp_path):
+    # a fresh interpreter: the test process has scipy loaded already (conftest)
+    (tmp_path / "line10.csv").write_text(_LINE10)
+    (tmp_path / "bad.csv").write_text("0,5,1\n5,0,1\n1,1,0\n")
+    result = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "ok\n", "")
+
+
 # --- one JSON rule for stdout and stderr ---
 
 def _strict_json(text):

@@ -340,6 +340,30 @@ def test_worst_triangle_defect_is_the_whole_table_argmax(seed, n):
 
 
 @settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(13, 60))
+def test_worst_triangle_defect_names_the_first_of_tied_intermediates(seed, n):
+    gen = np.random.default_rng(seed)
+    scale = gen.uniform(0.1, 10.0)
+    dist = planted_table(gen, n) * scale
+    # copy point a onto point b, then raise d(i, k) beyond every planted
+    # defect (at most 9 * scale) so that the worst defect runs through a,
+    # and through its copy b just as much
+    i, k, b = (int(v) for v in gen.choice(n, size=3, replace=False))
+    through = dist[i] + dist[:, k]
+    through[[i, k, b]] = np.inf
+    a = int(np.argmin(through))
+    dist[b, :] = dist[a, :]
+    dist[:, b] = dist[:, a]
+    dist[i, k] = dist[k, i] = through[a] + scale * gen.uniform(20.0, 40.0)
+    defect = dist[None, :, :] - (dist.T[:, :, None] + dist[:, None, :])
+    assert defect[a].max() == defect[b].max() == defect.max()
+    j, i, k = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    got = space_module.worst_triangle_defect(dist)
+    assert got == (float(defect.max()), (int(i), int(j), int(k)))
+    assert got[1][1] <= min(a, b)
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 6))
 def test_nearest_members_is_the_lowest_nearest_id(seed, n, m):
     gen = np.random.default_rng(seed)
@@ -466,6 +490,18 @@ def test_a_first_row_holding_a_number_is_data(tmp_path):
         cg.load_point_cloud_csv(str(path))
     path.write_text("point,re,im\n0,1,2\n")
     assert cg.load_point_cloud_csv(str(path)).tolist() == [[0.0, 1.0, 2.0]]
+
+
+@pytest.mark.parametrize("text, line, fields, first", [
+    ("x,y\n\n0,1\n1,2,\n", 4, 3, 3),  # a trailing comma: was "could not convert ''"
+    ("0,1\n\n\n1\n2,3\n", 4, 1, 1),  # a short row: numpy's "inhomogeneous shape"
+])
+def test_a_ragged_row_is_named_by_its_line(tmp_path, text, line, fields, first):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line {line} has {fields} fields, line {first} has 2")):
+        cg.load_point_cloud_csv(str(path))
 
 
 # --- the one JSON rule ---
