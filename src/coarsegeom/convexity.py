@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
-    FiniteMetricSpace, Record, check_bounds, check_point_ids, check_scale, exceeds)
+    FiniteMetricSpace, Record, check_bounds, check_point_ids, check_scale, exceeds, frozen)
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,8 @@ class ChainMetric:
     predecessors: np.ndarray
 
     def __post_init__(self):
-        for name in ("table", "predecessors"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "table", frozen(self.table))
+        object.__setattr__(self, "predecessors", frozen(self.predecessors))
 
     def chain_between(self, x: int, y: int) -> list[int] | None:
         """Witness chain from x to y with every step <= c, or None."""
@@ -77,6 +75,8 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
     table, pred = shortest_path(
         graph, method="D", directed=False, return_predecessors=True
     )
+    table.setflags(write=False)
+    pred.setflags(write=False)
     return ChainMetric(c=c, table=table, predecessors=pred)
 
 
@@ -134,9 +134,7 @@ class GeodesicGraph(Record):
     c: float
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.hop)
-        arr.setflags(write=False)
-        object.__setattr__(self, "hop", arr)
+        object.__setattr__(self, "hop", frozen(self.hop))
 
     def to_dot(self, space: FiniteMetricSpace | None = None) -> str:
         lines = ["graph geodesic_skeleton {"]

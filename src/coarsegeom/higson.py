@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, partition_from_cells
-from .space import BLOCK_ROWS, FiniteMetricSpace, Record, check_point_ids, check_scale, plain
+from .space import (
+    BLOCK_ROWS, FiniteMetricSpace, Record, check_point_ids, check_scale, frozen, plain)
 
 
 @dataclass(frozen=True)
@@ -30,12 +31,11 @@ class BoundedFunction(Record):
     sup_norm: float = field(init=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.complex128)
+        arr = frozen(self.values, np.complex128)
         if arr.ndim != 1:
             raise ValueError("function values must be a flat array")
         if not np.isfinite(arr).all():
             raise ValueError("function values must be finite")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         norm = float(np.abs(arr).max()) if arr.size else 0.0
         object.__setattr__(self, "sup_norm", norm)
@@ -67,9 +67,7 @@ class ExpansionField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen(self.values, np.float64))
 
 
 @dataclass(frozen=True)

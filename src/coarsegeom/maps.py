@@ -41,6 +41,7 @@ from .space import (
     check_point_ids,
     check_scale,
     exceeds,
+    frozen,
     max_entry,
     nearest_members,
     plain,
@@ -101,9 +102,7 @@ class LargeScaleMap(Record):
     c: float
 
     def __post_init__(self):
-        arr = np.asarray(self.mapping, dtype=np.intp).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "mapping", arr)
+        object.__setattr__(self, "mapping", frozen(self.mapping, np.intp))
         if check_scale(self.lam, "lambda") < 1.0:
             raise NonPositiveScale(f"lambda must be a finite number >= 1, got {self.lam!r}")
         check_scale(self.c, "additive constant c")
@@ -205,9 +204,7 @@ class NetBijection(Record):
     K: float
 
     def __post_init__(self):
-        arr = np.asarray(self.image, dtype=np.intp).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "image", arr)
+        object.__setattr__(self, "image", frozen(self.image, np.intp))
 
     @property
     def domain_members(self) -> np.ndarray:
@@ -431,12 +428,12 @@ def closeness_gap(
     """Least s making f and g (r, s)-close, or None if the nets are not
     mutually r-dense; every distance bound is a :func:`space.within` test."""
     r = check_scale(r, "r")
-    a, b = f.domain_net.members, g.domain_net.members
+    a, b = (check_point_ids(dom, h.domain_net.members) for h in (f, g))
     d_nets = dom.dist[np.ix_(a, b)]
     # the table is symmetric, so columns give the reverse density
     if exceeds(d_nets.min(axis=1).max(), r) or exceeds(d_nets.min(axis=0).max(), r):
         return None
-    d_images = rng.dist[np.ix_(f.image, g.image)]
+    d_images = rng.dist[np.ix_(check_point_ids(rng, f.image), check_point_ids(rng, g.image))]
     return float(d_images[within(d_nets, r)].max())
 
 

@@ -30,6 +30,7 @@ from .space import (
     cover_radius_of,
     cover_witness,
     exceeds,
+    frozen,
     separation_of,
     within,
 )
@@ -44,16 +45,22 @@ def _as_order(space: FiniteMetricSpace, order: Sequence[int] | None) -> np.ndarr
     return arr
 
 
-def _greedy_scan(space: FiniteMetricSpace, scan: np.ndarray, K: float) -> np.ndarray:
-    """Admit each point of ``scan`` iff it lies strictly more than K from
-    every point admitted before it."""
-    min_dist = np.full(space.n, np.inf)
-    admitted: list[int] = []
-    for x in scan:
-        if min_dist[x] > K:
-            admitted.append(int(x))
-            np.minimum(min_dist, space.dist[x], out=min_dist)
-    return np.array(admitted, dtype=np.intp)
+def _claim_scan(space: FiniteMetricSpace, scan: np.ndarray,
+                K: float) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The one greedy scan: walk ``scan``; a point no earlier admitted
+    point has claimed is admitted and claims every unclaimed point
+    within K of it (``dist <= K``), itself included. Return the claims
+    by admitted point, in admission order, and the claimed mask. A point
+    is admitted iff it lies > K from every point admitted before it."""
+    claimed = np.zeros(space.n, dtype=bool)
+    claims: dict[int, np.ndarray] = {}
+    for x in scan.tolist():
+        if not claimed[x]:
+            # True > False: within K and not yet claimed
+            claim = np.greater(space.dist[x] <= K, claimed)
+            claimed |= claim
+            claims[x] = np.flatnonzero(claim)
+    return claims, claimed
 
 
 @dataclass(frozen=True)
@@ -70,9 +77,7 @@ class Net(Record):
     cover_radius: float
 
     def __post_init__(self):
-        arr = np.asarray(self.members, dtype=np.intp).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "members", arr)
+        object.__setattr__(self, "members", frozen(self.members, np.intp))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -80,11 +85,17 @@ class Net(Record):
 
 @dataclass(frozen=True)
 class BorelPartition(Record):
-    """Disjoint cells F_x, one per net member, with x in F_x subset B(x, K)."""
+    """Disjoint cells F_x, one per net member, with x in F_x subset B(x, K).
+
+    ``cells`` is a plain dict of its own; its arrays are read-only."""
 
     cells: dict[int, np.ndarray]
     K: float
     enumeration_order: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", {x: frozen(c) for x, c in self.cells.items()})
+        object.__setattr__(self, "enumeration_order", frozen(self.enumeration_order))
 
     def cell_index(self, n_points: int) -> np.ndarray:
         """Array mapping each point to the member owning its cell."""
@@ -118,7 +129,8 @@ def greedy_separated_net(
     properties do not.
     """
     K = check_scale(K, "K", positive=True)
-    return net_from_members(space, _greedy_scan(space, _as_order(space, order), K), K)
+    admitted = _claim_scan(space, _as_order(space, order), K)[0]
+    return net_from_members(space, np.fromiter(admitted, np.intp), K)
 
 
 def refine_net(space: FiniteMetricSpace, net: Net, K: float) -> Net:
@@ -137,7 +149,8 @@ def refine_net(space: FiniteMetricSpace, net: Net, K: float) -> Net:
             witness=worst,
             cover=cover,
         )
-    return net_from_members(space, _greedy_scan(space, net.members, K), 2.0 * K)
+    admitted = _claim_scan(space, net.members, K)[0]
+    return net_from_members(space, np.fromiter(admitted, np.intp), 2.0 * K)
 
 
 def parse_member_key(key):
@@ -211,37 +224,27 @@ def borel_partition(
 ) -> BorelPartition:
     """Partition the space into cells F_x nested in the K-balls of net members.
 
-    The first member in ``order`` takes its whole K-ball; each later
-    member takes itself plus whatever of its K-ball is still
-    unclaimed. Points equidistant to several members therefore land
-    with the earliest claimant.
+    The cells are the claims of the greedy scan over ``order``: the
+    first member takes its whole K-ball; each later member takes itself
+    plus whatever of its K-ball is still unclaimed. Points equidistant
+    to several members therefore land with the earliest claimant. A
+    member the scan does not admit raises ``NotSeparated``, a point no
+    member claims ``IncompleteCover``.
     """
     K = check_scale(K, "K")
-    members = net.members if isinstance(net, Net) else check_point_ids(space, net)
+    members = check_point_ids(space, net.members if isinstance(net, Net) else net)
     enum = members if order is None else check_point_ids(space, order)
     if sorted(enum.tolist()) != sorted(members.tolist()):
         raise ValueError("order must enumerate exactly the net members")
 
-    assigned = np.zeros(space.n, dtype=bool)
-    cells: dict[int, np.ndarray] = {}
-    for x in enum:
-        x = int(x)
-        if assigned[x]:
-            raise NotSeparated(
-                f"member {x} already lies in an earlier cell; "
-                f"the net is not {K}-separated",
-                member=x,
-                K=K,
-            )
-        ball = space.dist[x] <= K
-        cell = np.flatnonzero(ball & ~assigned)
-        assigned[cell] = True
-        cells[x] = cell
-    if not assigned.all():
-        missing = int(np.flatnonzero(~assigned)[0])
-        raise IncompleteCover(
-            f"point {missing} lies in no cell; the members are not a {K}-net",
-            witness=missing,
-            K=K,
-        )
+    cells, claimed = _claim_scan(space, enum, K)
+    if len(cells) < enum.size:
+        # the admitted members are a subsequence of the order
+        x = next(x for x, y in zip(enum.tolist(), [*cells, None]) if x != y)
+        raise NotSeparated(f"member {x} already lies in an earlier cell; "
+                           f"the net is not {K}-separated", member=x, K=K)
+    if not claimed.all():
+        missing = int(np.flatnonzero(~claimed)[0])
+        raise IncompleteCover(f"point {missing} lies in no cell; the members are not "
+                              f"a {K}-net", witness=missing, K=K)
     return BorelPartition(cells=cells, K=K, enumeration_order=enum)

@@ -70,6 +70,22 @@ class Record:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
+def frozen(value, dtype=None) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype`` (None keeps its own):
+    the one ownership rule for every array a record holds. An array of
+    that dtype that is already read-only is held as it is; anything else
+    is copied into a private C-contiguous read-only array, so no view a
+    caller keeps can rewrite the record and the caller's own array stays
+    writable. A builder hands a fresh n x n table over without a copy by
+    making it read-only first."""
+    if isinstance(value, np.ndarray) and not value.flags.writeable and (
+            dtype is None or value.dtype == dtype):
+        return value
+    arr = np.array(value, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 def check_scale(value, name: str, positive: bool = False) -> float:
     """Return ``value`` as a float if it is a finite number >= 0 (> 0 when
     ``positive``), else raise ``NonPositiveScale`` naming ``name`` and the
@@ -158,10 +174,8 @@ class FiniteMetricSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.dist, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "dist", arr)
-        check_entries(arr, 0.0)
+        object.__setattr__(self, "dist", frozen(self.dist, np.float64))
+        check_entries(self.dist, 0.0)
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.n} points"
@@ -302,6 +316,7 @@ def from_distance_matrix(
 
     repaired = np.clip((arr + arr.T) / 2.0, 0.0, None)
     np.fill_diagonal(repaired, 0.0)
+    repaired.setflags(write=False)
 
     defect, (i, j, k) = worst_triangle_defect(repaired)
     if exceeds(defect, 0.0, tolerance):
@@ -349,13 +364,16 @@ def from_point_cloud(
 
     # symmetric with zero diagonal by construction; [:n, :n] keeps n = 0 empty
     dist = squareform(pdist(pts, metric=_SCIPY_METRIC[metric_kind]))
+    dist.setflags(write=False)
     return FiniteMetricSpace(dist[: len(pts), : len(pts)])
 
 
 def line_space(n: int) -> FiniteMetricSpace:
     """The integer segment {0, ..., n-1} with |i - j|."""
     idx = np.arange(n, dtype=np.float64)
-    return FiniteMetricSpace(np.abs(idx[:, None] - idx[None, :]))
+    dist = np.abs(idx[:, None] - idx[None, :])
+    dist.setflags(write=False)
+    return FiniteMetricSpace(dist)
 
 
 def closed_ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:

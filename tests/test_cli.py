@@ -355,6 +355,13 @@ def test_function_csv_round_trip(line10_csv, tmp_path):
                      "--r", 1, check=False)
     assert result.returncode == 64
 
+    # a function with too few values
+    short = tmp_path / "short.csv"
+    short.write_text("0.0\n1.0\n2.0\n")
+    result = run_cli("expansion", "--input", line10_csv, "--fn", short, "--r", 1, check=False)
+    assert (result.returncode, result.stdout) == (64, "")
+    assert result.stderr == f"coarsegeom: error: {short}: expected 10 values, found 3\n"
+
 
 def test_distort_reports_the_bijections_own_measurement(line10_csv, tmp_path, monkeypatch):
     bij_path = tmp_path / "bij.json"

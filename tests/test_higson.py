@@ -329,3 +329,20 @@ def test_partition_extend_checks_the_partition_it_is_given(line10):
     with pytest.raises(InvalidPartition) as err:
         cg.partition_extend(line10, wide, [7.0])
     assert err.value.payload == {"member": 0, "witness": 3}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda line: cg.BoundedFunction(np.zeros((2, 2))), "function values must be a flat array"),
+    (lambda line: cg.BoundedFunction([0.0, np.nan]), "function values must be finite"),
+    (lambda line: cg.expansion(line, cg.BoundedFunction(np.zeros(3)), 1.0),
+     "function has 3 values for 10 points"),
+    (lambda line: cg.bump_function(line, [0, 5], [1.0]), "2 centers for 1 radii"),
+    (lambda line: cg.bump_function(line, [], []), "at least one ball is required"),
+    (lambda line: cg.partition_extend(line, cg.borel_partition(line, [0, 3, 6, 9], 2.0),
+                                      [1.0, 2.0]),
+     "expected one value per member (4), got shape (2,)"),
+])
+def test_function_shapes_are_refused_by_name(line10, call, message):
+    with pytest.raises(ValueError) as err:
+        call(line10)
+    assert type(err.value) is ValueError and str(err.value) == message

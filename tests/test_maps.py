@@ -547,3 +547,14 @@ def test_closeness_fails_when_the_reverse_density_fails(line10):
 
     f, g = bijection([0], 9.0), bijection([0, 9], 5.0)
     assert cg.closeness_gap(line10, line10, f, g, 1.0) is None
+
+
+def test_a_short_mapping_or_pairing_is_refused_by_its_sizes(line10):
+    with pytest.raises(ValueError) as err:
+        cg.additive_slack(line10, line10, range(9), 1.0)
+    assert type(err.value) is ValueError and str(err.value) == (
+        "mapping must assign every point of the domain: expected length 10, got (9,)")
+    with pytest.raises(NotBijective) as err:
+        cg.measure_distortion(line10, line10, [0, 3], [0])
+    assert str(err.value) == "pairing sizes differ: 2 vs 1"
+    assert err.value.payload == {"sizes": [2, 1]}

@@ -230,3 +230,43 @@ def test_borel_cells_stay_exact_balls():
     assert net.members.tolist() == [0, 1]
     cells = cg.borel_partition(sp, net, 1.0).cells
     assert {x: cell.tolist() for x, cell in cells.items()} == {0: [0], 1: [1]}
+
+
+# --- the one claim scan ---
+
+def _min_distance_greedy(dist, order, K):
+    """The greedy admission as a min-distance loop: admit x iff
+    min over admitted y of d(y, x) > K."""
+    min_dist = np.full(len(dist), np.inf)
+    admitted = []
+    for x in order:
+        if min_dist[x] > K:
+            admitted.append(int(x))
+            np.minimum(min_dist, dist[x], out=min_dist)
+    return admitted
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       K=st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(1e-3, 12.0))
+def test_greedy_admission_and_borel_cells_are_one_scan(seed, n, K):
+    gen = np.random.default_rng(seed)
+    pts = gen.integers(0, 4 + n // 8, size=(n, int(gen.integers(1, 3))))
+    # integer manhattan tables: ties at exactly K and duplicate points
+    space = cg.FiniteMetricSpace(np.abs(pts[:, None] - pts[None]).sum(axis=2).astype(float))
+    order = gen.permutation(n)
+    net = cg.greedy_separated_net(space, K, order)
+    assert net.members.tolist() == _min_distance_greedy(space.dist, order, K)
+    part = cg.borel_partition(space, net, K, order=net.members)
+    assert list(part.cells) == net.members.tolist()
+    # each point lies in the cell of the first member within K of it
+    first = np.argmax(space.dist[net.members] <= K, axis=0)
+    assert part.cell_index(space.n).tolist() == net.members[first].tolist()
+
+
+def test_borel_partition_order_must_enumerate_the_members(line10):
+    net = cg.greedy_separated_net(line10, 2.0)
+    with pytest.raises(ValueError) as err:
+        cg.borel_partition(line10, net, 2.0, order=[0, 3])
+    assert type(err.value) is ValueError
+    assert str(err.value) == "order must enumerate exactly the net members"

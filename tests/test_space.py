@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -69,6 +70,40 @@ def test_scan_orders_and_member_lists_are_checked(call):
     # each of these used to wrap -1 to point 9 or truncate 9.5 to 9 and 0.5 to 0
     with pytest.raises(UnknownPoint):
         call(cg.line_space(10))
+
+
+def _with_ids(line, where, ids):
+    """A net of {0} on ``line`` and a bijection of it, one of whose id
+    arrays (``where``) is replaced by ``ids`` as a record built directly."""
+    net = cg.net_from_members(line, [0], 9.0)
+    f = cg.make_net_bijection(line, line, net, net, [0])
+    if where == "members":
+        return dataclasses.replace(net, members=ids), f
+    if where == "image":
+        return net, dataclasses.replace(f, image=ids)
+    return net, dataclasses.replace(f, domain_net=dataclasses.replace(net, members=ids))
+
+
+def _partition(line, net, f):
+    return cg.borel_partition(line, net, 9.0)
+
+
+def _closeness(line, net, f):
+    return cg.closeness_gap(line, line, f, cg.make_net_bijection(line, line, net, net, [0]),
+                            9.0)
+
+
+@pytest.mark.parametrize("where, ids, bad, call", [
+    ("members", [-1, 0], -1, _partition),  # wrapped to point 9, then member 0 was blamed
+    ("members", [0, 42], 42, _partition),  # ended in an IndexError
+    ("image", [-1], -1, _closeness),  # read point 9 as the image: returned 9.0
+    ("domain", [-1], -1, _closeness),  # read point 9 as the member: returned 0.0
+])
+def test_a_record_built_directly_has_its_ids_checked_where_they_index(where, ids, bad, call):
+    line = cg.line_space(10)
+    with pytest.raises(UnknownPoint) as err:
+        call(line, *_with_ids(line, where, np.array(ids)))
+    assert err.value.payload == {"id": bad, "n": 10}
 
 
 def test_negative_entry_rejected():
@@ -322,6 +357,19 @@ def test_point_cloud_takes_an_n_by_d_array(coords, shape):
     assert cg.from_point_cloud(np.zeros((0, 2))).n == 0
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda line: cg.FiniteMetricSpace(line.dist, labels=("a", "b", "c")), ValueError,
+     "3 labels for 10 points"),
+    (lambda line: cg.from_point_cloud([[0.0], [1.0]], "cosine"), ValueError,
+     "unknown metric kind 'cosine'; expected one of ['chebyshev', 'euclidean', 'manhattan']"),
+    (lambda line: cg.cover_radius_of(line, []), TooFewPoints, "cover radius of an empty set"),
+])
+def test_labels_metric_kinds_and_empty_member_sets_are_refused(call, error, message):
+    with pytest.raises(error) as err:
+        call(cg.line_space(10))
+    assert type(err.value) is error and str(err.value) == message
+
+
 # --- the scan kernels against whole-table references ---
 
 @settings(max_examples=60, deadline=None)
@@ -556,3 +604,101 @@ def test_plain_keeps_finite_arrays_and_nulls_the_rest():
     table = np.array([[0.0, np.inf], [-np.inf, np.nan]])
     assert space_module.plain({1: (table, np.arange(2), 2.5, math.nan)}) == {
         "1": [[[0.0, None], [None, None]], [0, 1], 2.5, None]}
+
+
+# --- the one ownership rule ---
+
+def _held_arrays():
+    """Per record: a builder taking the caller's arrays, those arrays, and
+    a getter of the arrays the record holds in their place."""
+    line4 = cg.line_space(4)
+    net = cg.greedy_separated_net(line4, 2.0)
+    bijection = cg.make_net_bijection(line4, line4, net, net, net.members)
+    chains = cg.chain_metric(line4, 1.0)
+    graph = cg.build_geodesic_graph(line4, 1.0)[0]
+    return {
+        "FiniteMetricSpace": (lambda t: cg.FiniteMetricSpace(t), [line4.dist],
+                              lambda r: [r.dist]),
+        "Net": (lambda m: cg.Net(m, 2.0, 3.0, 1.0), [net.members], lambda r: [r.members]),
+        "BorelPartition": (
+            lambda a, b, order: cg.BorelPartition({0: a, 3: b}, 2.0, order),
+            [np.arange(3), np.array([3]), np.array([0, 3])],
+            lambda r: [r.cells[0], r.cells[3], r.enumeration_order]),
+        "NetBijection": (
+            lambda image: dataclasses.replace(bijection, image=image), [bijection.image],
+            lambda r: [r.image]),
+        "LargeScaleMap": (lambda m: cg.LargeScaleMap(m, 1.0, 2.0), [np.array([0, 0, 3, 3])],
+                          lambda r: [r.mapping]),
+        "BoundedFunction": (lambda v: cg.BoundedFunction(v), [np.array([3.0, 1j, 0.0])],
+                            lambda r: [r.values]),
+        "ExpansionField": (lambda v: cg.ExpansionField(1.0, v), [np.array([0.5, 2.0])],
+                           lambda r: [r.values]),
+        "ChainMetric": (lambda t, p: cg.ChainMetric(1.0, t, p),
+                        [chains.table, chains.predecessors],
+                        lambda r: [r.table, r.predecessors]),
+        "GeodesicGraph": (lambda hop: dataclasses.replace(graph, hop=hop), [graph.hop],
+                          lambda r: [r.hop]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_held_arrays()))
+def test_a_record_owns_its_arrays(name):
+    # a record adopted the caller's array: a view taken before could rewrite it
+    build, arrays, held = _held_arrays()[name]
+    callers = [np.array(a) for a in arrays]
+    views = [c[...] for c in callers]
+    record = build(*callers)
+    before = [h.copy() for h in held(record)]
+    for view in views:
+        view[...] = view.flat[-1] + 7
+    for h, b in zip(held(record), before):
+        np.testing.assert_array_equal(h, b)
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[...] = 0
+    assert all(c.flags.writeable for c in callers)
+    if name == "BoundedFunction":
+        assert record.sup_norm == 3.0
+
+
+def test_a_read_only_array_is_held_as_it_is():
+    table = cg.line_space(5).dist
+    assert not table.flags.writeable
+    assert cg.FiniteMetricSpace(table).dist is table
+    chains = cg.chain_metric(cg.line_space(5), 1.0)
+    assert cg.ChainMetric(1.0, chains.table, chains.predecessors).table is chains.table
+    # another dtype is a copy of the record's own
+    members = np.array([0, 3], dtype=np.int32)
+    members.setflags(write=False)
+    held = cg.Net(members, 2.0, 3.0, 1.0).members
+    assert held.dtype == np.intp and held is not members and not held.flags.writeable
+
+
+def test_a_partition_keeps_its_ids_for_the_check():
+    # a cast to intp would truncate 0.5 to 0, and the cell would hold its member
+    line = cg.line_space(10)
+    part = cg.BorelPartition({0: [0.5, 1, 2], 3: [3, 4, 5], 6: [6, 7, 8], 9: [9]}, 2.0,
+                             [0, 3, 6, 9])
+    with pytest.raises(UnknownPoint) as err:
+        cg.partition_extend(line, part, [1.0, 2.0, 3.0, 4.0])
+    assert err.value.payload == {"id": 0.5, "n": 10}
+
+
+def test_the_builders_hand_their_tables_over(monkeypatch):
+    # a copied n x n table would raise the peak memory of every build
+    from coarsegeom import convexity
+
+    copied, frozen = [], space_module.frozen
+
+    def counting(value, dtype=None):
+        held = frozen(value, dtype)
+        copied.append(held is not value)
+        return held
+
+    for module in (space_module, convexity):
+        monkeypatch.setattr(module, "frozen", counting)
+    cg.line_space(6)
+    cg.from_point_cloud(np.arange(12.0).reshape(6, 2))
+    cg.from_distance_matrix(np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
+    cg.chain_metric(cg.line_space(6), 1.0)  # a line, then the table and predecessors
+    assert copied == [False] * 6
