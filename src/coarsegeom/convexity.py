@@ -24,11 +24,12 @@ import numpy as np
 from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
-    FiniteMetricSpace, Record, check_bounds, check_point_ids, check_scale, exceeds, frozen)
+    FiniteMetricSpace, Rebuilt, Record, check_bounds, check_point_ids, check_scale, exceeds,
+    frozen, hand_over)
 
 
 @dataclass(frozen=True)
-class ChainMetric:
+class ChainMetric(Rebuilt):
     """Shortest chain totals at step bound c; inf encodes disconnection."""
 
     c: float
@@ -66,18 +67,24 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
     """Minimal total length of chains with steps <= c, between all pairs.
 
     Zero-length steps (pseudo-metric duplicates) are legitimate edges.
+    The result is memoized on ``space`` by c and held weakly: while a
+    caller holds it, the same object is returned and nothing is built
+    again; once no one does, it is freed.
     """
     from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
     c = check_scale(c, "step bound c", positive=True)
+    held = space._chains.get(c)
+    if held is not None:
+        return held
     weights = np.where(space.dist <= c, space.dist, np.inf)
     graph = csgraph_from_dense(weights, null_value=np.inf)
     table, pred = shortest_path(
         graph, method="D", directed=False, return_predecessors=True
     )
-    table.setflags(write=False)
-    pred.setflags(write=False)
-    return ChainMetric(c=c, table=table, predecessors=pred)
+    cm = ChainMetric(c=c, table=hand_over(table), predecessors=hand_over(pred))
+    space._chains[c] = cm
+    return cm
 
 
 def convexity_constants(
@@ -90,14 +97,16 @@ def convexity_constants(
 
     For each b in the grid, a(b) is the least slope covering every
     pair (clamped below at 1); pairs dominated by a smaller b with the
-    same slope are dropped. ``chains``, when given, must be the chain
-    metric of ``space`` at scale ``c``.
+    same slope are dropped. ``chains``, when given, must be the very
+    object ``chain_metric(space, c)`` returned; any other chain metric,
+    a hand-built one too, raises ``ValueError``.
     """
     c = check_scale(c, "scale c", positive=True)
     cm = chains if chains is not None else chain_metric(space, c)
-    if (cm.c, cm.table.shape) != (c, (space.n, space.n)):
-        raise ValueError(f"chains must be at scale {c!r} on {space.n} points, "
-                         f"got scale {cm.c!r} with a {cm.table.shape} table")
+    if cm is not space._chains.get(c):
+        raise ValueError(f"chains must be the one chain_metric returned for this space "
+                         f"at scale {c!r} on {space.n} points, got another at scale "
+                         f"{cm.c!r} with a {cm.table.shape} table")
     if not cm.is_connected():
         i, j = np.argwhere(~np.isfinite(cm.table))[0]
         raise NotQuasiConvexAtScale(
@@ -125,7 +134,7 @@ def convexity_constants(
 
 
 @dataclass(frozen=True)
-class GeodesicGraph(Record):
+class GeodesicGraph(Record, Rebuilt):
     """Unit-edge graph on a c-separated c-net, edges at ambient d <= 3c."""
 
     vertices: Net

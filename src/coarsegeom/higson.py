@@ -19,11 +19,12 @@ import numpy as np
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, partition_from_cells
 from .space import (
-    BLOCK_ROWS, FiniteMetricSpace, Record, check_point_ids, check_scale, frozen, plain)
+    BLOCK_ROWS, FiniteMetricSpace, Rebuilt, Record, check_point_ids, check_scale, frozen,
+    plain)
 
 
 @dataclass(frozen=True)
-class BoundedFunction(Record):
+class BoundedFunction(Record, Rebuilt):
     """Complex-valued function on the points of a space; its JSON form
     holds each value as a ``[re, im]`` pair."""
 
@@ -60,7 +61,7 @@ class BoundedFunction(Record):
 
 
 @dataclass(frozen=True)
-class ExpansionField:
+class ExpansionField(Rebuilt):
     """Pointwise r-expansion values of some bounded function."""
 
     r: float

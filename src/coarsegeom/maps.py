@@ -36,6 +36,7 @@ from .nets import Net, _as_order, greedy_separated_net, net_from_members
 from .space import (
     BLOCK_ROWS,
     FiniteMetricSpace,
+    Rebuilt,
     Record,
     check_bounds,
     check_point_ids,
@@ -94,7 +95,7 @@ def displacement(
 
 
 @dataclass(frozen=True)
-class LargeScaleMap(Record):
+class LargeScaleMap(Record, Rebuilt):
     """Total map with certified d'(fx, fy) <= lam*d(x, y) + c."""
 
     mapping: np.ndarray
@@ -194,7 +195,7 @@ class DistortionReport(Record):
 
 
 @dataclass(frozen=True)
-class NetBijection(Record):
+class NetBijection(Record, Rebuilt):
     """Bi-Lipschitz bijection between nets: a coarse quasi-isometry (K, C)."""
 
     domain_net: Net

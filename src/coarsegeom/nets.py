@@ -24,6 +24,7 @@ from .errors import (
 )
 from .space import (
     FiniteMetricSpace,
+    Rebuilt,
     Record,
     check_point_ids,
     check_scale,
@@ -64,7 +65,7 @@ def _claim_scan(space: FiniteMetricSpace, scan: np.ndarray,
 
 
 @dataclass(frozen=True)
-class Net(Record):
+class Net(Record, Rebuilt):
     """A subset whose points cover the space within K and sit > delta apart.
 
     ``K`` is the certified cover bound, ``cover_radius`` the measured
@@ -84,7 +85,7 @@ class Net(Record):
 
 
 @dataclass(frozen=True)
-class BorelPartition(Record):
+class BorelPartition(Record, Rebuilt):
     """Disjoint cells F_x, one per net member, with x in F_x subset B(x, K).
 
     ``cells`` is a plain dict of its own; its arrays are read-only."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -73,17 +74,51 @@ class Record:
 def frozen(value, dtype=None) -> np.ndarray:
     """``value`` as a read-only array of ``dtype`` (None keeps its own):
     the one ownership rule for every array a record holds. An array of
-    that dtype that is already read-only is held as it is; anything else
-    is copied into a private C-contiguous read-only array, so no view a
-    caller keeps can rewrite the record and the caller's own array stays
-    writable. A builder hands a fresh n x n table over without a copy by
-    making it read-only first."""
-    if isinstance(value, np.ndarray) and not value.flags.writeable and (
-            dtype is None or value.dtype == dtype):
-        return value
+    that dtype is held as it is when it is read-only and so is every
+    array on its ``.base`` chain, down to the one that owns the data;
+    anything else is copied into a private C-contiguous read-only array,
+    so no view a caller keeps, nor the array a read-only view was taken
+    of, can rewrite the record, and the caller's own array stays
+    writable. A builder hands a fresh n x n table over without a copy
+    through :func:`hand_over`. Cast to an integer dtype, a float that is
+    not an integer raises ``UnknownPoint`` naming the first one, so an
+    id is never truncated."""
+    if isinstance(value, np.ndarray) and (dtype is None or value.dtype == dtype):
+        owner = value
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None:
+            return value
+    if dtype is not None and np.dtype(dtype).kind == "i":
+        raw = np.asarray(value)
+        if raw.dtype.kind == "f":
+            bad = raw[~np.isfinite(raw) | (np.floor(raw) != raw)].tolist()
+            if bad:
+                raise UnknownPoint(f"point id {bad[0]!r} is not an integer", id=bad[0])
     arr = np.array(value, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def hand_over(table: np.ndarray) -> np.ndarray:
+    """``table``, a builder's fresh array, made read-only together with
+    every array on its ``.base`` chain, so that :func:`frozen` holds it
+    without a copy."""
+    owner = table
+    while isinstance(owner, np.ndarray):
+        owner.setflags(write=False)
+        owner = owner.base
+    return table
+
+
+class Rebuilt:
+    """Mixin for a dataclass record that holds :func:`frozen` arrays: it
+    pickles and copies as a call of its constructor on its init fields,
+    so the copy is checked again, holds read-only arrays and starts with
+    no memo."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def check_scale(value, name: str, positive: bool = False) -> float:
@@ -162,13 +197,19 @@ def check_bounds(
 
 
 @dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Rebuilt):
     """A finite pseudo-metric space backed by a full distance table.
 
     Construction refuses a table that is not square, holds a nan, an
     infinity or a negative entry, or has a nonzero diagonal
     (:func:`check_entries` at tolerance 0); the symmetry and triangle
-    checks are :func:`from_distance_matrix`'s."""
+    checks are :func:`from_distance_matrix`'s.
+
+    ``_chains`` is ``convexity.chain_metric``'s memo: the chain metric
+    of each step bound, held weakly, so one that a caller still holds is
+    never built again. It is sound because the table cannot change, and
+    it is no field, so ``==``, ``repr`` and every walk of the fields
+    leave it out."""
 
     dist: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -176,6 +217,7 @@ class FiniteMetricSpace:
     def __post_init__(self):
         object.__setattr__(self, "dist", frozen(self.dist, np.float64))
         check_entries(self.dist, 0.0)
+        object.__setattr__(self, "_chains", weakref.WeakValueDictionary())
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.n} points"
@@ -316,7 +358,7 @@ def from_distance_matrix(
 
     repaired = np.clip((arr + arr.T) / 2.0, 0.0, None)
     np.fill_diagonal(repaired, 0.0)
-    repaired.setflags(write=False)
+    hand_over(repaired)
 
     defect, (i, j, k) = worst_triangle_defect(repaired)
     if exceeds(defect, 0.0, tolerance):
@@ -363,17 +405,14 @@ def from_point_cloud(
     from scipy.spatial.distance import pdist, squareform
 
     # symmetric with zero diagonal by construction; [:n, :n] keeps n = 0 empty
-    dist = squareform(pdist(pts, metric=_SCIPY_METRIC[metric_kind]))
-    dist.setflags(write=False)
+    dist = hand_over(squareform(pdist(pts, metric=_SCIPY_METRIC[metric_kind])))
     return FiniteMetricSpace(dist[: len(pts), : len(pts)])
 
 
 def line_space(n: int) -> FiniteMetricSpace:
     """The integer segment {0, ..., n-1} with |i - j|."""
     idx = np.arange(n, dtype=np.float64)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    dist.setflags(write=False)
-    return FiniteMetricSpace(dist)
+    return FiniteMetricSpace(hand_over(np.abs(idx[:, None] - idx[None, :])))
 
 
 def closed_ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -325,3 +328,73 @@ def test_a_one_point_table_has_slope_one_at_every_offset():
     assert cg.convexity_constants(point, 1.0) == [cg.ConvexityConstants(a=1.0, b=0.0, c=1.0)]
     assert cg.convexity_constants(point, 2.0, b_grid=[3.0]) == [
         cg.ConvexityConstants(a=1.0, b=3.0, c=2.0)]
+
+
+# --- the chain metric memo ---
+
+def test_a_held_chain_metric_is_returned_again(line10):
+    chains = cg.chain_metric(line10, 2.0)
+    assert cg.chain_metric(line10, 2.0) is chains
+    assert cg.chain_metric(line10, 2) is chains  # keyed by the checked float
+
+
+def test_a_chain_metric_no_one_holds_is_freed_and_built_afresh(line10):
+    chains = cg.chain_metric(line10, 2.0)
+    ref = weakref.ref(chains)
+    del chains
+    gc.collect()
+    assert ref() is None
+    fresh = cg.chain_metric(line10, 2.0)
+    assert ref() is None and cg.chain_metric(line10, 2.0) is fresh
+    np.testing.assert_array_equal(fresh.table, line10.dist)
+
+
+def test_another_scale_or_space_shares_no_entry(line10):
+    chains = cg.chain_metric(line10, 2.0)
+    assert cg.chain_metric(line10, 3.0) is not chains
+    twin = cg.FiniteMetricSpace(line10.dist)
+    assert twin.dist is line10.dist
+    assert cg.chain_metric(twin, 2.0) is not chains
+
+
+def test_the_skeleton_reuses_a_held_chain_metric(line10, monkeypatch):
+    # build_geodesic_graph -> convexity_constants -> chain_metric built the table again
+    from scipy.sparse import csgraph
+
+    calls, shortest_path = [], csgraph.shortest_path
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("return_predecessors", False))
+        return shortest_path(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "shortest_path", counting)
+    chains = cg.chain_metric(line10, 1.0)
+    graph, report = cg.build_geodesic_graph(line10, 1.0)
+    assert calls.count(True) == 1
+    assert cg.chain_metric(line10, 1.0) is chains
+    assert report["constants"] == {"a": 1.0, "b": 0.0, "c": 1.0}
+
+
+def test_the_memo_is_no_field_of_the_space(line10):
+    # the benchmark's fingerprint walks the fields: a weakref there would differ each round
+    cg.chain_metric(line10, 1.0)
+    assert [f.name for f in dataclasses.fields(line10)] == ["dist", "labels"]
+    assert dataclasses.asdict(line10).keys() == {"dist", "labels"}
+    assert "_chains" not in repr(line10) and "weak" not in repr(line10)
+    twin = cg.FiniteMetricSpace(line10.dist)
+    assert line10 == twin and dict(twin._chains) == {}
+    assert dataclasses.replace(line10)._chains is not line10._chains
+
+
+def test_convexity_constants_refuses_the_chains_of_a_same_size_space():
+    # A's chain(0, 2) = 2 > 1 * sqrt(2), yet B's table certified a = 1
+    a_space = cg.from_point_cloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    b_space = cg.FiniteMetricSpace([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"for this space at scale 1\.0.*got another"):
+        cg.convexity_constants(a_space, 1.0, b_grid=[0.0], chains=cg.chain_metric(b_space, 1.0))
+    own = cg.chain_metric(a_space, 1.0)
+    hand_built = cg.ChainMetric(1.0, own.table, own.predecessors)
+    with pytest.raises(ValueError, match="got another"):
+        cg.convexity_constants(a_space, 1.0, b_grid=[0.0], chains=hand_built)
+    frontier = cg.convexity_constants(a_space, 1.0, b_grid=[0.0], chains=own)
+    assert [(k.a, k.b) for k in frontier] == [(pytest.approx(math.sqrt(2.0)), 0.0)]

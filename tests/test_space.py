@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -702,3 +703,74 @@ def test_the_builders_hand_their_tables_over(monkeypatch):
     cg.from_distance_matrix(np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
     cg.chain_metric(cg.line_space(6), 1.0)  # a line, then the table and predecessors
     assert copied == [False] * 6
+
+
+def test_a_read_only_view_of_a_writable_array_is_copied():
+    # the view was adopted, and a write to its base rewrote the space
+    table = cg.line_space(4).dist.copy()
+    view = table.view()
+    view.setflags(write=False)
+    space = cg.FiniteMetricSpace(view)
+    table[0, 1] = 7.0
+    assert space.d(0, 1) == 1.0
+    assert space.dist is not view and table.flags.writeable
+    # a read-only view of a read-only base is still held as it is
+    table.setflags(write=False)
+    assert cg.FiniteMetricSpace(view).dist is view
+
+
+def test_the_chain_metric_hands_over_its_base_too():
+    # shortest_path returns views of writable arrays
+    chains = cg.chain_metric(cg.line_space(5), 1.0)
+    for held in (chains.table, chains.predecessors):
+        while held is not None:
+            assert not held.flags.writeable
+            held = held.base
+
+
+@pytest.mark.parametrize("name", sorted(_held_arrays()))
+def test_a_record_unpickles_through_its_constructor(name):
+    # a frozen dataclass was restored without __post_init__: writable arrays
+    build, arrays, held = _held_arrays()[name]
+    record = build(*arrays)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    for h, original in zip(held(copy), held(record)):
+        np.testing.assert_array_equal(h, original)
+        assert not h.flags.writeable
+
+
+def test_a_space_with_a_warm_memo_pickles_and_comes_back_without_it():
+    # a memo in the instance dict made pickle.dumps raise on its weakrefs
+    space = cg.line_space(4)
+    chains = cg.chain_metric(space, 1.0)
+    copy = pickle.loads(pickle.dumps(space))
+    assert not copy.dist.flags.writeable
+    assert dict(copy._chains) == {}
+    assert cg.chain_metric(copy, 1.0) is not chains
+    # the copy is built by the constructor, so its table is checked again
+    object.__setattr__(space, "dist", np.full((4, 4), np.nan))
+    with pytest.raises(NonFiniteEntry):
+        pickle.loads(pickle.dumps(space))
+
+
+def _bijection_with_image(image):
+    line4 = cg.line_space(4)
+    net = cg.greedy_separated_net(line4, 2.0)
+    return dataclasses.replace(cg.make_net_bijection(line4, line4, net, net, net.members),
+                               image=image)
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: cg.LargeScaleMap([0.7, 1, 2, 3], 1.0, 0.0), 0.7),
+    (lambda: cg.Net([0.5, 3], 2.0, 3.0, 1.0), 0.5),
+    (lambda: _bijection_with_image(np.array([0.0, 2.5])), 2.5),
+    (lambda: cg.Net([0, math.inf], 2.0, 3.0, 1.0), math.inf),
+])
+def test_a_fractional_id_is_refused_not_truncated(build, bad):
+    # LargeScaleMap([0.7, 1, 2, 3], ...).mapping was [0, 1, 2, 3], and
+    # borel_partition built cells around the Net member 0.5 as 0
+    with pytest.raises(UnknownPoint) as err:
+        build()
+    assert err.value.payload == {"id": bad}
+    assert cg.Net([0.0, 3.0], 2.0, 3.0, 1.0).members.tolist() == [0, 3]
