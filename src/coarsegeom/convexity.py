@@ -15,6 +15,7 @@ over all vertex pairs.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,14 +68,15 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
     """Minimal total length of chains with steps <= c, between all pairs.
 
     Zero-length steps (pseudo-metric duplicates) are legitimate edges.
-    The result is memoized on ``space`` by c and held weakly: while a
-    caller holds it, the same object is returned and nothing is built
-    again; once no one does, it is freed.
+    The result is memoized on ``space`` by c and a digest of the table,
+    held weakly: while a caller holds it and the table is unchanged, the
+    same object is returned; else it is built afresh.
     """
     from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
     c = check_scale(c, "step bound c", positive=True)
-    held = space._chains.get(c)
+    key = c, hashlib.sha256(np.ascontiguousarray(space.dist)).digest()
+    held = space._chains.get(key)
     if held is not None:
         return held
     weights = np.where(space.dist <= c, space.dist, np.inf)
@@ -83,7 +85,7 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
         graph, method="D", directed=False, return_predecessors=True
     )
     cm = ChainMetric(c=c, table=hand_over(table), predecessors=hand_over(pred))
-    space._chains[c] = cm
+    space._chains[key] = cm
     return cm
 
 
@@ -98,15 +100,15 @@ def convexity_constants(
     For each b in the grid, a(b) is the least slope covering every
     pair (clamped below at 1); pairs dominated by a smaller b with the
     same slope are dropped. ``chains``, when given, must be the very
-    object ``chain_metric(space, c)`` returned; any other chain metric,
-    a hand-built one too, raises ``ValueError``.
+    object ``chain_metric(space, c)`` returns now; any other, a hand-built
+    one or one of a table since rewritten, raises ``ValueError``.
     """
     c = check_scale(c, "scale c", positive=True)
-    cm = chains if chains is not None else chain_metric(space, c)
-    if cm is not space._chains.get(c):
+    cm = chain_metric(space, c)
+    if chains is not None and chains is not cm:
         raise ValueError(f"chains must be the one chain_metric returned for this space "
                          f"at scale {c!r} on {space.n} points, got another at scale "
-                         f"{cm.c!r} with a {cm.table.shape} table")
+                         f"{chains.c!r} with a {chains.table.shape} table")
     if not cm.is_connected():
         i, j = np.argwhere(~np.isfinite(cm.table))[0]
         raise NotQuasiConvexAtScale(
@@ -184,7 +186,7 @@ def build_geodesic_graph(
 
     net = greedy_separated_net(space, c, order)
     members = net.members
-    sub = space.dist[np.ix_(members, members)]
+    sub = space.block(members, members)
     off = ~np.eye(len(members), dtype=bool)
     adjacency = off & (sub <= 3.0 * c)
     edges = [

@@ -80,7 +80,7 @@ def additive_slack(
     """
     m = _mapping_array(dom, rng, mapping)
     slack, (lo, i, j) = max_entry(range(0, dom.n, BLOCK_ROWS), lambda lo: (
-        rng.dist[np.ix_(m[lo:lo + BLOCK_ROWS], m)] - lam * dom.dist[lo:lo + BLOCK_ROWS]))
+        rng.block(m[lo:lo + BLOCK_ROWS], m) - lam * dom.dist[lo:lo + BLOCK_ROWS]))
     return slack, (lo + i, j)
 
 
@@ -262,8 +262,8 @@ def measure_distortion(
     if len(set(a.tolist())) != a.size or len(set(b.tolist())) != b.size:
         raise NotBijective("pairing has repeated points")
 
-    dd = dom.dist[np.ix_(a, a)]
-    dr = rng.dist[np.ix_(b, b)]
+    dd = dom.block(a, a)
+    dr = rng.block(b, b)
     profile = _profile(dd, dr, default_radius_grid(float(dd.max(initial=0.0))))
     min_C = float(_distortion(dd, dr))
 
@@ -386,9 +386,12 @@ def restrict_equivalence(
     claimed_radius = R + 2.0 * lam * R + lam * c + lam * epsilon + c
     claimed_C = lam * (1.0 + (2.0 * R + c) / epsilon)
 
-    # max over pairs of d(x,y) - lam*d'(phi x, phi y); must stay <= 2R + c
-    eq_slack, (lo, i, j) = max_entry(range(0, dom.n, BLOCK_ROWS), lambda lo: (
-        dom.dist[lo:lo + BLOCK_ROWS] - lam * rng.dist[np.ix_(phi[lo:lo + BLOCK_ROWS], phi)]))
+    def gap(lo):
+        # d(x,y) - lam*d'(phi x, phi y) on a row block; its max must stay <= 2R + c
+        g = rng.block(phi[lo:lo + BLOCK_ROWS], phi)
+        g *= lam
+        return np.subtract(dom.dist[lo:lo + BLOCK_ROWS], g, out=g)
+    eq_slack, (lo, i, j) = max_entry(range(0, dom.n, BLOCK_ROWS), gap)
     eq_witness = (lo + i, j)
 
     range_net = net_from_members(rng, image, claimed_radius)
@@ -430,11 +433,11 @@ def closeness_gap(
     mutually r-dense; every distance bound is a :func:`space.within` test."""
     r = check_scale(r, "r")
     a, b = (check_point_ids(dom, h.domain_net.members) for h in (f, g))
-    d_nets = dom.dist[np.ix_(a, b)]
+    d_nets = dom.block(a, b)
     # the table is symmetric, so columns give the reverse density
     if exceeds(d_nets.min(axis=1).max(), r) or exceeds(d_nets.min(axis=0).max(), r):
         return None
-    d_images = rng.dist[np.ix_(check_point_ids(rng, f.image), check_point_ids(rng, g.image))]
+    d_images = rng.block(check_point_ids(rng, f.image), check_point_ids(rng, g.image))
     return float(d_images[within(d_nets, r)].max())
 
 
@@ -458,7 +461,7 @@ def expansiveness_profile(
     grid = (
         default_radius_grid(dom.diameter()) if radius_grid is None else list(radius_grid)
     )
-    return _profile(dom.dist, rng.dist[np.ix_(m, m)], grid)
+    return _profile(dom.dist, rng.block(m, m), grid)
 
 
 def properness_profile(
@@ -472,7 +475,7 @@ def properness_profile(
     grid = (
         default_radius_grid(rng.diameter()) if radius_grid is None else list(radius_grid)
     )
-    return _profile(rng.dist[np.ix_(m, m)], dom.dist, grid)
+    return _profile(rng.block(m, m), dom.dist, grid)
 
 
 def quasi_inverse(

@@ -207,9 +207,9 @@ class FiniteMetricSpace(Rebuilt):
 
     ``_chains`` is ``convexity.chain_metric``'s memo: the chain metric
     of each step bound, held weakly, so one that a caller still holds is
-    never built again. It is sound because the table cannot change, and
-    it is no field, so ``==``, ``repr`` and every walk of the fields
-    leave it out."""
+    never built again. Its keys hold a digest of the table, so a table
+    made writable and rewritten gets no stale entry. It is no field:
+    ``==``, ``repr`` and every walk of the fields leave it out."""
 
     dist: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -229,6 +229,12 @@ class FiniteMetricSpace(Rebuilt):
 
     def d(self, x: int, y: int) -> float:
         return float(self.dist[tuple(check_point_ids(self, (x, y)))])
+
+    def block(self, rows, cols=None) -> np.ndarray:
+        """The table's ``rows``, then their ``cols`` if given: the one gather of
+        a block. A slice of rows stays a view; with ``cols`` the block is fresh."""
+        picked = self.dist[rows]
+        return picked if cols is None else np.take(picked, cols, axis=1)
 
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
@@ -402,11 +408,10 @@ def from_point_cloud(
             f"unknown metric kind {metric_kind!r}; "
             f"expected one of {sorted(_SCIPY_METRIC)}"
         )
-    from scipy.spatial.distance import pdist, squareform
+    from scipy.spatial.distance import cdist
 
-    # symmetric with zero diagonal by construction; [:n, :n] keeps n = 0 empty
-    dist = hand_over(squareform(pdist(pts, metric=_SCIPY_METRIC[metric_kind])))
-    return FiniteMetricSpace(dist[: len(pts), : len(pts)])
+    # symmetric with zero diagonal: d(x, y) and d(y, x) are the same float operations
+    return FiniteMetricSpace(hand_over(cdist(pts, pts, metric=_SCIPY_METRIC[metric_kind])))
 
 
 def line_space(n: int) -> FiniteMetricSpace:
@@ -428,7 +433,7 @@ def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
         raise TooFewPoints(
             f"separation needs at least 2 points, got {idx.size}", size=int(idx.size)
         )
-    sub = space.dist[np.ix_(idx, idx)]
+    sub = space.block(idx, idx)
     off = ~np.eye(idx.size, dtype=bool)
     return float(sub[off].min())
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
@@ -101,6 +103,22 @@ def random_net_bijection(rng, n_max=48):
         K=K,
     )
     return dom, rng_space, f
+
+
+def traced_peak(f, *args):
+    """``f(*args)`` and the most bytes tracemalloc saw it hold at once,
+    beyond what was held before the call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def random_bounded_function(rng, n, complex_valued=True):

@@ -386,6 +386,23 @@ def test_the_memo_is_no_field_of_the_space(line10):
     assert dataclasses.replace(line10)._chains is not line10._chains
 
 
+def test_a_rewritten_table_is_never_served_a_stale_chain_metric():
+    space = cg.line_space(4)
+    held = cg.chain_metric(space, 1.0)
+    space.dist.setflags(write=True)  # numpy allows it on an array that owns its data
+    space.dist[0, 3] = space.dist[3, 0] = 0.5
+    frontier = cg.convexity_constants(space, 1.0, b_grid=[0.0])
+    assert [k.a for k in frontier] != [6.0]  # the old chain 0-1-2-3 over the new d(0, 3)
+    assert frontier == cg.convexity_constants(
+        cg.FiniteMetricSpace(space.dist.copy()), 1.0, b_grid=[0.0])
+    fresh = cg.chain_metric(space, 1.0)
+    assert fresh is not held and fresh.table[0, 3] == 0.5
+    with pytest.raises(ValueError, match="got another"):
+        cg.convexity_constants(space, 1.0, b_grid=[0.0], chains=held)
+    space.dist[0, 3] = space.dist[3, 0] = 3.0
+    assert cg.chain_metric(space, 1.0) is held
+
+
 def test_convexity_constants_refuses_the_chains_of_a_same_size_space():
     # A's chain(0, 2) = 2 > 1 * sqrt(2), yet B's table certified a = 1
     a_space = cg.from_point_cloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])

@@ -22,7 +22,7 @@ from coarsegeom.errors import (
     UnknownPoint,
 )
 from coarsegeom.nets import partition_from_cells
-from conftest import planted_table, random_net_bijection
+from conftest import planted_table, random_net_bijection, traced_peak
 
 
 def identity_bijection(space, K):
@@ -139,6 +139,50 @@ def test_additive_slack_is_the_whole_table_argmax(seed, n, lam):
         x, y = np.unravel_index(int(np.argmax(gap)), gap.shape)
         expected = (float(gap.max()), (int(x), int(y)))
     assert cg.additive_slack(dom, rng, mapping, lam) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257, 515])),
+       lam=st.sampled_from([1.0, 1.5, 2.0]))
+def test_restrict_eq_slack_is_the_whole_table_argmax(seed, n, lam):
+    # an epsilon past both diameters leaves a one-point net, so a map that is not
+    # injective reaches the scan; with R = c = 0 a positive slack is refused by its
+    # witness, and planted entries are multiples of 0.5, so no slack is within tolerance
+    gen = np.random.default_rng(seed)
+    dom = cg.FiniteMetricSpace(planted_table(gen, n))
+    rng = cg.FiniteMetricSpace(planted_table(gen, n))
+    phi = gen.integers(0, n, size=n)
+    gap = dom.dist - lam * rng.dist[np.ix_(phi, phi)]
+    x, y = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    f = cg.LargeScaleMap(phi, lam, 0.0)
+    epsilon = 1.0 + max(dom.diameter(), rng.diameter())
+    if gap.max() <= 0.0:
+        _, report = cg.restrict_equivalence(dom, rng, cg.EquivalencePair(f, f, 0.0), epsilon)
+        assert report["measured"]["eq_slack"] == 0.0
+        return
+    with pytest.raises(CertificateError) as err:
+        cg.restrict_equivalence(dom, rng, cg.EquivalencePair(f, f, 0.0), epsilon)
+    assert err.value.payload["measured"]["eq_slack"] == float(gap.max())
+    assert f"(worst pair {(int(x), int(y))})" in str(err.value)
+
+
+def test_the_pulled_back_scans_hold_row_blocks_not_tables():
+    n = 2000
+    gen = np.random.default_rng(4)
+    pts = gen.uniform(0.0, 100.0, size=(n, 2))
+    perm = gen.permutation(n)
+    dom, rng = cg.from_point_cloud(pts), cg.from_point_cloud(pts[perm])
+    blocks = 4 * maps.BLOCK_ROWS * n * 8
+    _, peak = traced_peak(cg.additive_slack, dom, rng, gen.integers(0, n, size=n), 1.5)
+    assert peak <= blocks
+    # phi carries each point to its own copy, so the pair is an isometry; the net is coarse
+    phi = cg.LargeScaleMap(np.argsort(perm), 1.0, 0.0)
+    back = cg.LargeScaleMap(perm, 1.0, 0.0)
+    (bijection, report), peak = traced_peak(
+        cg.restrict_equivalence, dom, rng, cg.EquivalencePair(phi, back, 0.0), 40.0)
+    assert report["measured"]["eq_slack"] == 0.0 and bijection.domain_members.size < 20
+    assert peak <= blocks
 
 
 # --- extension (net bijection -> equivalence) ---

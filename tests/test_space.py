@@ -22,7 +22,7 @@ from coarsegeom.errors import (
     TriangleError,
     UnknownPoint,
 )
-from conftest import planted_table, random_space
+from conftest import planted_table, random_space, traced_peak
 
 
 def test_smallest_valid_metric():
@@ -240,6 +240,56 @@ def test_point_cloud_table_is_bit_identical_to_the_cdist_build(kind, metric, dim
         want = _old_point_cloud_table(pts, metric)
         assert got.shape == want.shape == (n, n)
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), dim=st.integers(1, 8),
+       scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]), integer=st.booleans(),
+       kind=st.sampled_from(["euclidean", "manhattan", "chebyshev"]))
+def test_point_cloud_table_is_symmetric_bit_for_bit(seed, n, dim, scale, integer, kind):
+    # one cdist build, no symmetrizing pass: d(y, x) must be the very float d(x, y)
+    gen = np.random.default_rng(seed)
+    pts = gen.integers(-5, 6, size=(n, dim)) if integer else gen.uniform(-1.0, 1.0, (n, dim))
+    pts = pts * scale
+    if n >= 3:
+        pts[gen.integers(n)] = pts[gen.integers(n)]  # a duplicate point, or a no-op
+    dist = cg.from_point_cloud(pts, kind).dist
+    assert dist.shape == (n, n)
+    assert dist.tobytes() == dist.T.tobytes()
+    assert np.diagonal(dist).tobytes() == bytes(8 * n)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_an_empty_cloud_is_an_empty_space(dim):
+    space = cg.from_point_cloud(np.zeros((0, dim)))
+    assert space.n == 0 and space.dist.shape == (0, 0)
+
+
+def test_a_point_cloud_table_peaks_at_one_table():
+    # the build holds the table it returns and no second array of that size
+    pts = np.random.default_rng(3).uniform(0.0, 100.0, size=(2000, 2))
+    cg.from_point_cloud(pts[:2])  # scipy's import is no part of the build
+    space, peak = traced_peak(cg.from_point_cloud, pts)
+    assert space.n == 2000
+    assert peak <= 1.1 * space.dist.nbytes
+
+
+block_ids = st.lists(st.integers(0, 11), max_size=14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), rows=block_ids, cols=block_ids)
+def test_a_block_is_the_ix_gather(seed, n, rows, cols):
+    space = cg.FiniteMetricSpace(planted_table(np.random.default_rng(seed), n))
+    rows = np.array([r for r in rows if r < n], dtype=np.intp)  # repeats and empties kept
+    cols = np.array([c for c in cols if c < n], dtype=np.intp)
+    for got, want in ((space.block(rows, cols), space.dist[np.ix_(rows, cols)]),
+                      (space.block(rows), space.dist[np.ix_(rows, np.arange(n))])):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    view = space.block(slice(1, 3))
+    assert view.tobytes() == space.dist[1:3].tobytes() and not view.flags.writeable
+    assert np.shares_memory(view, space.dist) or n < 2
 
 
 def test_point_cloud_rejects_nan():
