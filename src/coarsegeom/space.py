@@ -230,11 +230,10 @@ class FiniteMetricSpace(Rebuilt):
     def d(self, x: int, y: int) -> float:
         return float(self.dist[tuple(check_point_ids(self, (x, y)))])
 
-    def block(self, rows, cols=None) -> np.ndarray:
-        """The table's ``rows``, then their ``cols`` if given: the one gather of
-        a block. A slice of rows stays a view; with ``cols`` the block is fresh."""
-        picked = self.dist[rows]
-        return picked if cols is None else np.take(picked, cols, axis=1)
+    def block(self, rows, cols) -> np.ndarray:
+        """The fresh block of the table at ``rows`` and ``cols``: the one gather
+        of a block, the rows first and then their columns."""
+        return np.take(self.dist[rows], cols, axis=1)
 
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
