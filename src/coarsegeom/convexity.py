@@ -72,15 +72,14 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
     held weakly: while a caller holds it and the table is unchanged, the
     same object is returned; else it is built afresh.
     """
-    from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
+    from scipy.sparse.csgraph import csgraph_from_masked, shortest_path
 
     c = check_scale(c, "step bound c", positive=True)
     key = c, hashlib.sha256(np.ascontiguousarray(space.dist)).digest()
     held = space._chains.get(key)
     if held is not None:
         return held
-    weights = np.where(space.dist <= c, space.dist, np.inf)
-    graph = csgraph_from_dense(weights, null_value=np.inf)
+    graph = csgraph_from_masked(np.ma.masked_array(space.dist, mask=space.dist > c))
     table, pred = shortest_path(
         graph, method="D", directed=False, return_predecessors=True
     )
@@ -119,10 +118,10 @@ def convexity_constants(
     if b_grid is None:
         b_grid = [0.0, c / 2.0, c, 2.0 * c, 4.0 * c]
     positive = space.dist > 0
+    slopes = np.full(space.dist.shape, -np.inf)
     frontier: list[ConvexityConstants] = []
     for b in sorted(check_scale(b, "offset b") for b in b_grid):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            slopes = np.where(positive, (cm.table - b) / space.dist, -np.inf)
+        np.divide(cm.table - b, space.dist, out=slopes, where=positive)
         a = max(float(slopes.max(initial=-np.inf)), 1.0)
         if frontier and not exceeds(frontier[-1].a, a):
             continue
@@ -187,8 +186,7 @@ def build_geodesic_graph(
     net = greedy_separated_net(space, c, order)
     members = net.members
     sub = space.block(members, members)
-    off = ~np.eye(len(members), dtype=bool)
-    adjacency = off & (sub <= 3.0 * c)
+    adjacency = sub <= 3.0 * c
     edges = [
         (int(members[i]), int(members[j]))
         for i, j in np.argwhere(np.triu(adjacency, k=1))
@@ -196,7 +194,7 @@ def build_geodesic_graph(
 
     hop = shortest_path(adjacency.astype(np.int8), method="D", unweighted=True,
                         directed=False)
-    if off.any() and not np.isfinite(hop[off]).all():
+    if not np.isfinite(hop).all():
         i, j = np.argwhere(~np.isfinite(hop))[0]
         raise GraphDisconnected(
             f"net points {members[i]} and {members[j]} are in different "
@@ -204,6 +202,7 @@ def build_geodesic_graph(
             witness=[int(members[i]), int(members[j])],
         )
 
+    off = ~np.eye(len(members), dtype=bool)
     upper_defect = float((hop - slope * sub)[off].max(initial=-math.inf))
     lower_defect = float((sub - 3.0 * c * hop)[off].max(initial=-math.inf))
     report = {

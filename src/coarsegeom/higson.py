@@ -38,8 +38,7 @@ class BoundedFunction(Record, Rebuilt):
         if not np.isfinite(arr).all():
             raise ValueError("function values must be finite")
         object.__setattr__(self, "values", arr)
-        norm = float(np.abs(arr).max()) if arr.size else 0.0
-        object.__setattr__(self, "sup_norm", norm)
+        object.__setattr__(self, "sup_norm", float(np.abs(arr).max(initial=0.0)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -104,7 +103,9 @@ def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> Expansi
         within = space.dist[lo:hi] <= r
         diff = np.abs(vals[lo:hi, None] - vals[None, :])
         out[lo:hi] = np.where(within, diff, 0.0).max(axis=1)
-    return ExpansionField(r=r, values=out)
+    field = ExpansionField(r=r, values=out)
+    object.__setattr__(field, "_source", (space, f))  # no field: == and pickling omit it
+    return field
 
 
 def decay_profile(
@@ -115,8 +116,8 @@ def decay_profile(
     rho_grid: Sequence[float] | None = None,
     field_cache: ExpansionField | None = None,
 ) -> DecayProfile:
-    """Suprema of grad_r f over the tails {x : d(x, base) >= rho}; a
-    ``field_cache`` must be the field grad_r f on ``space``."""
+    """Suprema of grad_r f over the tails {x : d(x, base) >= rho}; a ``field_cache``
+    must be the very object ``expansion(space, f, r)`` returned, else ``ValueError``."""
     r = check_scale(r, "expansion radius r")
     check_point_ids(space, base)
     if rho_grid is None:
@@ -126,9 +127,11 @@ def decay_profile(
     if sorted(rhos) != rhos:
         raise ValueError("rho grid must be increasing")
     exp_field = field_cache if field_cache is not None else expansion(space, f, r)
-    if (exp_field.r, exp_field.values.shape) != (r, (space.n,)):
-        raise ValueError(f"field_cache must hold {space.n} values at radius {r!r}, got "
-                         f"shape {exp_field.values.shape} at radius {exp_field.r!r}")
+    space_of, f_of = getattr(exp_field, "_source", (None, None))
+    if space_of is not space or f_of is not f or exp_field.r != r:
+        raise ValueError(f"field_cache must be the one expansion returned for this space "
+                         f"and function at radius {r!r}, with {space.n} values; got one at "
+                         f"radius {exp_field.r!r}, with shape {exp_field.values.shape}")
     from_base = space.dist[base]
     if not (from_base >= rhos[-1]).any():
         raise EmptyTail(
@@ -172,7 +175,7 @@ def bump_function(
                 "centers must be ordered by nondecreasing distance from the base"
             )
 
-    membership = space.dist[:, ctr] <= rad[None, :]
+    membership = space.block(slice(None), ctr) <= rad[None, :]
     owners_per_point = membership.sum(axis=1)
     if (owners_per_point > 1).any():
         x = int(np.argmax(owners_per_point > 1))

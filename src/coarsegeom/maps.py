@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -233,12 +233,18 @@ def default_radius_grid(diameter: float) -> list[float]:
     return grid
 
 
-def _distortion(dd: np.ndarray, dr: np.ndarray) -> np.ndarray:
-    """Least C >= 1 with dd / C <= dr <= C * dd entrywise, over the last
-    two axes: the one distortion rule. A 0/0 entry asks nothing; an
-    entry with exactly one zero makes C infinite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.fmax(np.maximum(dr / dd, dd / dr), 1.0).max(axis=(-2, -1), initial=1.0)
+def _distortion(dd: np.ndarray, dr: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one distortion rule over the last two axes: the least C >= 1 with
+    dd / C <= dr <= C * dd. Yields C so far with dr / dd, then with dd / dr, each
+    in one buffer on the pairs at distance > 0 on both sides, -inf elsewhere. A
+    0/0 pair asks nothing; one at distance 0 on exactly one side makes C inf."""
+    valid = (dd > 0) & (dr > 0)
+    C = np.where(((dd == 0) != (dr == 0)).any(axis=(-2, -1)), np.inf, 1.0)
+    ratio = np.full(valid.shape, -np.inf)
+    for num, den in ((dr, dd), (dd, dr)):
+        np.divide(num, den, out=ratio, where=valid)
+        C = np.maximum(C, ratio.max(axis=(-2, -1), initial=1.0))
+        yield C, ratio
 
 
 def measure_distortion(
@@ -247,12 +253,9 @@ def measure_distortion(
     domain: Sequence[int],
     image: Sequence[int],
 ) -> DistortionReport:
-    """Least C with d/C <= d' <= C*d over all pairs of a net pairing.
-
-    Pairs with both distances 0 are ignored; a pair with exactly one 0
-    makes the constant infinite and is reported as degenerate rather
-    than raised.
-    """
+    """Least C with d/C <= d' <= C*d over all pairs of a net pairing, by
+    :func:`_distortion`'s rule, with the first pair attaining each ratio's
+    maximum and the first degenerate pair, which is reported, not raised."""
     a = check_point_ids(dom, domain)
     b = check_point_ids(rng, image)
     if a.size != b.size:
@@ -265,21 +268,17 @@ def measure_distortion(
     dd = dom.block(a, a)
     dr = rng.block(b, b)
     profile = _profile(dd, dr, default_radius_grid(float(dd.max(initial=0.0))))
-    min_C = float(_distortion(dd, dr))
 
-    def pair(table: np.ndarray) -> tuple[int, int]:
-        """The ids of the first pair (row-major) attaining ``table``'s maximum."""
+    def pair(table: np.ndarray, off: float) -> tuple[int, int] | None:
+        """Ids of the first pair attaining ``table``'s maximum, or None if all are ``off``."""
+        if not (table != off).any():
+            return None
         i, j = np.unravel_index(int(np.argmax(table)), table.shape)
         return int(a[i]), int(a[j])
 
-    degenerate = (dd == 0) != (dr == 0)
-    deg_pair = pair(degenerate) if degenerate.any() else None
-    valid = (dd > 0) & (dr > 0)
-    if not valid.any():
-        return DistortionReport(min_C, None, None, deg_pair, profile)
-    expand = np.divide(dr, dd, out=np.full(dd.shape, -np.inf), where=valid)
-    contract = np.divide(dd, dr, out=np.full(dd.shape, -np.inf), where=valid)
-    return DistortionReport(min_C, pair(expand), pair(contract), deg_pair, profile)
+    (_, expand), (C, contract) = [(C, pair(t, -np.inf)) for C, t in _distortion(dd, dr)]
+    return DistortionReport(float(C), expand, contract, pair((dd == 0) != (dr == 0), 0.0),
+                            profile)
 
 
 def make_net_bijection(
@@ -528,6 +527,6 @@ def min_distortion_bruteforce(
             cap=BRUTEFORCE_CAP,
         )
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    worst = _distortion(dom.dist, rng.dist[perms[:, :, None], perms[:, None, :]])
+    *_, (worst, _) = _distortion(dom.dist, rng.dist[perms[:, :, None], perms[:, None, :]])
     best = int(np.argmin(worst))
     return float(worst[best]), perms[best]

@@ -236,7 +236,7 @@ class FiniteMetricSpace(Rebuilt):
         return np.take(self.dist[rows], cols, axis=1)
 
     def diameter(self) -> float:
-        return float(self.dist.max()) if self.n else 0.0
+        return float(self.dist.max(initial=0.0))
 
     def label_of(self, x: int) -> str:
         x = int(check_point_ids(self, x))
@@ -281,13 +281,11 @@ def check_entries(arr: np.ndarray, tolerance: float) -> tuple[float, float]:
     the witness is searched only on failure."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"distance table must be square, got shape {arr.shape}")
-    if not arr.size:
-        return 0.0, 0.0
     # a nan propagates through both reductions
-    low, high = float(arr.min()), float(arr.max())
+    low, high = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
     finite = math.isfinite(low) and math.isfinite(high)
     diagonal = np.abs(np.diagonal(arr))
-    worst_diagonal = float(diagonal.max())
+    worst_diagonal = float(diagonal.max(initial=0.0))
     if finite and within(-low, 0.0, tolerance) and within(worst_diagonal, 0.0, tolerance):
         return max(0.0, -low), worst_diagonal
     bad = ~within(-arr, 0.0, tolerance) if finite else ~np.isfinite(arr)
@@ -352,7 +350,7 @@ def from_distance_matrix(
     worst_negative, worst_diagonal = check_entries(arr, tolerance)
 
     asym = np.abs(arr - arr.T)
-    worst_asymmetry = float(asym.max()) if arr.size else 0.0
+    worst_asymmetry = float(asym.max(initial=0.0))
     if exceeds(worst_asymmetry, 0.0, tolerance):
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise AsymmetryError(
@@ -433,8 +431,8 @@ def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
             f"separation needs at least 2 points, got {idx.size}", size=int(idx.size)
         )
     sub = space.block(idx, idx)
-    off = ~np.eye(idx.size, dtype=bool)
-    return float(sub[off].min())
+    np.fill_diagonal(sub, np.inf)
+    return float(sub.min())
 
 
 def nearest_members(space: FiniteMetricSpace,
@@ -445,7 +443,7 @@ def nearest_members(space: FiniteMetricSpace,
     if idx.size == 0:
         raise TooFewPoints("cover radius of an empty set", size=0)
     by_id = np.sort(idx)
-    table = space.dist[:, by_id]
+    table = space.block(slice(None), by_id)
     col = np.argmin(table, axis=1)
     nearest = by_id[col]
     nearest[idx] = idx

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 import coarsegeom as cg
 from coarsegeom.errors import (
@@ -104,6 +105,40 @@ def test_chain_matches_brute_force_oracle(seed):
         cm = cg.chain_metric(space, c)
         oracle = brute_force_chain_table(space, c)
         assert np.allclose(cm.table, oracle, atol=1e-9, equal_nan=False)
+
+
+def jittered_grid_space(n, seed):
+    """One uniform point in each of n unit cells of a 3:1 strip, and point 1
+    a duplicate of point 0 (a zero-length step); the threshold graph at a
+    step bound c >= sqrt(5) is connected."""
+    width = math.ceil(n / max(1, int(math.sqrt(n / 3.0))))
+    cells = np.array([(i % width, i // width) for i in range(n)], dtype=float)
+    pts = cells + np.random.default_rng(seed).uniform(0.0, 1.0, size=cells.shape)
+    pts[1] = pts[0]
+    return cg.from_point_cloud(pts)
+
+
+@pytest.mark.parametrize("n, c", [(30, 2.5), (30, 6.0), (30, 1e4), (300, 2.5), (300, 6.0),
+                                  (1000, 2.5)])
+def test_the_masked_chain_graph_is_the_dense_threshold_graph(n, c):
+    # c = 1e4 masks no entry, where np.ma.masked_greater gives the scalar nomask
+    space = jittered_grid_space(n, seed=n)
+    weights = np.where(space.dist <= c, space.dist, np.inf)
+    table, pred = shortest_path(csgraph_from_dense(weights, null_value=np.inf), method="D",
+                                directed=False, return_predecessors=True)
+    cm = cg.chain_metric(space, c)
+    assert cm.table.tobytes() == table.tobytes() and cm.predecessors.tobytes() == pred.tobytes()
+    assert cm.chain_between(0, 1) == [0, 1]
+    # the reference skeleton masks the diagonal out of its adjacency
+    graph, _ = cg.build_geodesic_graph(space, c)
+    members = cg.greedy_separated_net(space, c).members
+    sub = space.dist[np.ix_(members, members)]
+    adjacency = ~np.eye(members.size, dtype=bool) & (sub <= 3.0 * c)
+    hop = shortest_path(adjacency.astype(np.int8), method="D", unweighted=True, directed=False)
+    assert graph.vertices.members.tolist() == members.tolist()
+    assert graph.hop.tobytes() == hop.tobytes()
+    assert graph.edges == [(int(members[i]), int(members[j]))
+                           for i, j in np.argwhere(np.triu(adjacency, k=1))]
 
 
 @settings(max_examples=30, deadline=None)

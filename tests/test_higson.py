@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,6 +320,23 @@ def test_decay_profile_refuses_a_field_of_another_radius_or_size(line10):
         cg.decay_profile(line10, f, 5.0, 0, field_cache=cg.ExpansionField(5.0, np.zeros(3)))
     cached = cg.decay_profile(line10, f, 5.0, 0, field_cache=cg.expansion(line10, f, 5.0))
     assert cached == cg.decay_profile(line10, f, 5.0, 0)
+
+
+def test_decay_profile_refuses_a_field_of_another_function_or_space(line10):
+    f = cg.BoundedFunction(np.zeros(10))
+    g = cg.BoundedFunction(np.arange(10.0))
+    # g's field gave f the tail suprema [1.0, 1.0] and no Higson verdict; f's are 0
+    foreign = [cg.expansion(line10, g, 1.0), cg.expansion(cg.line_space(10), f, 1.0),
+               pickle.loads(pickle.dumps(cg.expansion(line10, f, 1.0)))]
+    for field in foreign:
+        with pytest.raises(ValueError, match=r"one expansion returned for this space and "
+                                             r"function at radius 1\.0"):
+            cg.decay_profile(line10, f, 1.0, 0, [0, 5], field_cache=field)
+    own = cg.expansion(line10, f, 1.0)
+    profile = cg.decay_profile(line10, f, 1.0, 0, [0, 5], field_cache=own)
+    assert profile.samples == [(0.0, 0.0), (5.0, 0.0)] and profile.is_numerically_higson(0.5)
+    # its source is no field, so the benchmark's fingerprint and repr do not change
+    assert [field.name for field in dataclasses.fields(own)] == ["r", "values"]
 
 
 def test_partition_extend_checks_the_partition_it_is_given(line10):

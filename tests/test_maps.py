@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -503,6 +504,85 @@ def test_oracle_optimum_is_the_measured_distortion_of_its_pairing(points):
     rng = cg.from_point_cloud(pts[:, 2:])
     c_star, pairing = cg.min_distortion_bruteforce(dom, rng)
     assert c_star == cg.measure_distortion(dom, rng, range(len(pts)), pairing).min_C
+
+
+def per_pair_distortion(dd, dr):
+    """(C, expand, contract, degenerate) pair by pair in row-major order: the
+    first pair of each ratio's maximum over the pairs at distance > 0 on both
+    sides, and the first pair at distance 0 on exactly one side."""
+    worst = {"expand": (-math.inf, None), "contract": (-math.inf, None)}
+    degenerate = None
+    for i, j in itertools.product(range(len(dd)), repeat=2):
+        x, y = dd[i, j], dr[i, j]
+        if (x == 0) != (y == 0):
+            degenerate = degenerate or (i, j)
+        elif x > 0:
+            for side, ratio in (("expand", y / x), ("contract", x / y)):
+                if ratio > worst[side][0]:
+                    worst[side] = (ratio, (i, j))
+    C = math.inf if degenerate else max(1.0, worst["expand"][0], worst["contract"][0])
+    return C, worst["expand"][1], worst["contract"][1], degenerate
+
+
+@st.composite
+def scaled_pairings(draw):
+    """Two tables of small integers times a scale (ties, duplicate points,
+    0/0 and degenerate pairs; 1e-200 against 1e200 overflows the ratios)
+    and a pairing of k of their points, k = 0 included."""
+    def table(n):
+        t = np.zeros((n, n))
+        t[np.triu_indices(n, 1)] = draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
+                                                 max_size=n * (n - 1) // 2))
+        return (t + t.T) * draw(st.sampled_from([1.0, 0.1, 3.0, 1e-200, 1e200]))
+    n1, n2 = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    k = draw(st.integers(0, min(n1, n2)))
+    return (table(n1), table(n2), draw(st.permutations(range(n1)))[:k],
+            draw(st.permutations(range(n2)))[:k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scaled_pairings())
+@example(case=(np.array([[0.0, 1e-200], [1e-200, 0.0]]), np.array([[0.0, 1e200], [1e200, 0.0]]),
+               [1, 0], [0, 1]))
+@example(case=(np.zeros((3, 3)), np.array([[0.0, 0, 2], [0, 0, 2], [2, 2, 0]]), [2, 0, 1],
+               [0, 1, 2]))
+def test_distortion_and_the_oracle_are_the_per_pair_rule(case):
+    t1, t2, a, b = case
+
+    def ids(pair):
+        return None if pair is None else (a[pair[0]], a[pair[1]])
+
+    m = min(len(t1), len(t2), 5)
+    perms = list(itertools.permutations(range(m)))
+    with np.errstate(over="ignore"):
+        report = cg.measure_distortion(cg.FiniteMetricSpace(t1), cg.FiniteMetricSpace(t2), a, b)
+        C, expand, contract, degenerate = per_pair_distortion(t1[np.ix_(a, a)], t2[np.ix_(b, b)])
+        c_star, pairing = cg.min_distortion_bruteforce(
+            cg.FiniteMetricSpace(t1[:m, :m]), cg.FiniteMetricSpace(t2[:m, :m]))
+        per_perm = [per_pair_distortion(t1[:m, :m], t2[np.ix_(p, p)])[0] for p in perms]
+    assert (report.min_C, report.worst_expand_pair, report.worst_contract_pair,
+            report.degenerate_pair) == (C, ids(expand), ids(contract), ids(degenerate))
+    # the oracle's C* and pairing are the first least per-pair C over all bijections
+    best = int(np.argmin(per_perm))
+    assert (c_star, tuple(pairing.tolist())) == (per_perm[best], perms[best])
+
+
+def test_measure_distortion_holds_at_most_four_tables():
+    gen = np.random.default_rng(1)
+    space = cg.from_point_cloud(gen.uniform(0.0, 100.0, size=(2000, 2)))
+    members = cg.greedy_separated_net(space, 1.0).members
+    image = members[gen.permutation(members.size)]
+    report, peak = traced_peak(cg.measure_distortion, space, space, members, image)
+    assert members.size == 1539 and report.min_C > 1.0
+    # both ratios and their maximum were three more tables beside the two gathered ones
+    assert peak <= 4 * members.size ** 2 * 8
+
+
+def test_the_oracle_holds_at_most_three_gathered_tables():
+    squares, cubes = (cg.from_point_cloud([[float(i ** p)] for i in range(1, 9)]) for p in (2, 3))
+    (c_star, _), peak = traced_peak(cg.min_distortion_bruteforce, squares, cubes)
+    assert c_star == pytest.approx(11.27, abs=0.01)
+    assert peak <= 3 * math.factorial(8) * 8 * 8 * 8
 
 
 @pytest.mark.parametrize("excess, passes", [(5e-10, True), (2e-9, False)])
