@@ -26,7 +26,7 @@ from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
     FiniteMetricSpace, Rebuilt, Record, check_bounds, check_point_ids, check_scale, exceeds,
-    frozen, hand_over)
+    frozen, hand_over, max_over_rows)
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,14 @@ def convexity_constants(
         )
     if b_grid is None:
         b_grid = [0.0, c / 2.0, c, 2.0 * c, 4.0 * c]
-    positive = space.dist > 0
-    slopes = np.full(space.dist.shape, -np.inf)
+    t, d = cm.table, space.dist
     frontier: list[ConvexityConstants] = []
     for b in sorted(check_scale(b, "offset b") for b in b_grid):
-        np.divide(cm.table - b, space.dist, out=slopes, where=positive)
-        a = max(float(slopes.max(initial=-np.inf)), 1.0)
+        a = max(1.0, max_over_rows(space.n, lambda rows: np.divide(
+            t[rows] - b, d[rows], out=np.full(d[rows].shape, -np.inf), where=d[rows] > 0))[0])
         if frontier and not exceeds(frontier[-1].a, a):
             continue
-        defect = float((cm.table - (a * space.dist + b)).max())
+        defect = max_over_rows(space.n, lambda rows: t[rows] - (a * d[rows] + b))[0]
         check_bounds(
             f"constants (a={a}, b={b}) fail certification by {defect:g}",
             {"defect": (0.0, defect)},

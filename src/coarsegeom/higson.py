@@ -99,10 +99,9 @@ def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> Expansi
         vals = vals.real  # plain float differences are much cheaper
     out = np.empty(space.n)
     for lo in range(0, space.n, BLOCK_ROWS):
-        hi = lo + BLOCK_ROWS
-        within = space.dist[lo:hi] <= r
-        diff = np.abs(vals[lo:hi, None] - vals[None, :])
-        out[lo:hi] = np.where(within, diff, 0.0).max(axis=1)
+        rows = slice(lo, lo + BLOCK_ROWS)
+        out[rows] = np.abs(vals[rows, None] - vals[None, :]).max(
+            axis=1, where=space.dist[rows] <= r, initial=0.0)
     field = ExpansionField(r=r, values=out)
     object.__setattr__(field, "_source", (space, f))  # no field: == and pickling omit it
     return field
@@ -175,7 +174,8 @@ def bump_function(
                 "centers must be ordered by nondecreasing distance from the base"
             )
 
-    membership = space.block(slice(None), ctr) <= rad[None, :]
+    table = space.block(slice(None), ctr)
+    membership = table <= rad[None, :]
     owners_per_point = membership.sum(axis=1)
     if (owners_per_point > 1).any():
         x = int(np.argmax(owners_per_point > 1))
@@ -190,7 +190,7 @@ def bump_function(
     for n_idx in range(ctr.size):
         ball = membership[:, n_idx]
         sign = -1.0 if n_idx % 2 else 1.0
-        values[ball] = sign * (rad[n_idx] - space.dist[ctr[n_idx], ball]) / rad[n_idx]
+        values[ball] = sign * (rad[n_idx] - table[ball, n_idx]) / rad[n_idx]
     return BoundedFunction(values)
 
 

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .nets import Net, _as_order, greedy_separated_net, net_from_members
 from .space import (
-    BLOCK_ROWS,
     FiniteMetricSpace,
     Rebuilt,
     Record,
@@ -43,7 +42,7 @@ from .space import (
     check_scale,
     exceeds,
     frozen,
-    max_entry,
+    max_over_rows,
     nearest_members,
     plain,
     within,
@@ -79,9 +78,7 @@ def additive_slack(
     (lam, c) a valid large-scale Lipschitz distortion of ``mapping``.
     """
     m = _mapping_array(dom, rng, mapping)
-    slack, (lo, i, j) = max_entry(range(0, dom.n, BLOCK_ROWS), lambda lo: (
-        rng.block(m[lo:lo + BLOCK_ROWS], m) - lam * dom.dist[lo:lo + BLOCK_ROWS]))
-    return slack, (lo + i, j)
+    return max_over_rows(dom.n, lambda rows: rng.block(m[rows], m) - lam * dom.dist[rows])
 
 
 def displacement(
@@ -242,7 +239,8 @@ def _distortion(dd: np.ndarray, dr: np.ndarray) -> Iterator[tuple[np.ndarray, np
     C = np.where(((dd == 0) != (dr == 0)).any(axis=(-2, -1)), np.inf, 1.0)
     ratio = np.full(valid.shape, -np.inf)
     for num, den in ((dr, dd), (dd, dr)):
-        np.divide(num, den, out=ratio, where=valid)
+        with np.errstate(over="ignore"):  # a ratio past the float range is C = inf
+            np.divide(num, den, out=ratio, where=valid)
         C = np.maximum(C, ratio.max(axis=(-2, -1), initial=1.0))
         yield C, ratio
 
@@ -385,13 +383,12 @@ def restrict_equivalence(
     claimed_radius = R + 2.0 * lam * R + lam * c + lam * epsilon + c
     claimed_C = lam * (1.0 + (2.0 * R + c) / epsilon)
 
-    def gap(lo):
+    def gap(rows):
         # d(x,y) - lam*d'(phi x, phi y) on a row block; its max must stay <= 2R + c
-        g = rng.block(phi[lo:lo + BLOCK_ROWS], phi)
+        g = rng.block(phi[rows], phi)
         g *= lam
-        return np.subtract(dom.dist[lo:lo + BLOCK_ROWS], g, out=g)
-    eq_slack, (lo, i, j) = max_entry(range(0, dom.n, BLOCK_ROWS), gap)
-    eq_witness = (lo + i, j)
+        return np.subtract(dom.dist[rows], g, out=g)
+    eq_slack, eq_witness = max_over_rows(dom.n, gap)
 
     range_net = net_from_members(rng, image, claimed_radius)
     measured_radius = range_net.cover_radius

@@ -305,8 +305,7 @@ def max_entry(keys: Iterable, block: Callable[[object], np.ndarray]) -> tuple[fl
     """Largest entry of the 2-D arrays ``block(key)`` over ``keys`` and
     ``(key, i, j)`` of the first entry attaining it (keys in order, then
     row-major), or ``(-inf, (0, 0, 0))`` with no keys: the one
-    max-with-witness scan over distance tables. A row-blocked scan takes
-    the keys ``range(0, n, BLOCK_ROWS)`` and adds the key to ``i``."""
+    max-with-witness scan over distance tables."""
     worst, witness = -math.inf, (0, 0, 0)
     for key in keys:
         gap = block(key)
@@ -314,6 +313,14 @@ def max_entry(keys: Iterable, block: Callable[[object], np.ndarray]) -> tuple[fl
         if gap[i, j] > worst:
             worst, witness = float(gap[i, j]), (key, int(i), int(j))
     return worst, witness
+
+
+def max_over_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[float, tuple[int, int]]:
+    """:func:`max_entry` over the slices ``block(rows)`` of ``BLOCK_ROWS`` rows of an
+    n-row table, its witness ``(i, j)`` in table rows: the one whole-table scan."""
+    worst, (lo, i, j) = max_entry(range(0, n, BLOCK_ROWS),
+                                  lambda lo: block(slice(lo, lo + BLOCK_ROWS)))
+    return worst, (lo + i, j)
 
 
 def worst_triangle_defect(dist: np.ndarray) -> tuple[float, tuple[int, int, int]]:
@@ -349,13 +356,11 @@ def from_distance_matrix(
     arr = np.asarray(table, dtype=np.float64)
     worst_negative, worst_diagonal = check_entries(arr, tolerance)
 
-    asym = np.abs(arr - arr.T)
-    worst_asymmetry = float(asym.max(initial=0.0))
+    worst_asymmetry, (i, j) = max_over_rows(len(arr), lambda rows: np.abs(arr[rows] - arr.T[rows]))
     if exceeds(worst_asymmetry, 0.0, tolerance):
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise AsymmetryError(
             f"d({i},{j}) = {arr[i, j]} but d({j},{i}) = {arr[j, i]}",
-            pair=[int(i), int(j)],
+            pair=[i, j],
             values=[float(arr[i, j]), float(arr[j, i])],
         )
 
@@ -373,7 +378,7 @@ def from_distance_matrix(
         )
 
     report = MetricValidationReport(
-        worst_asymmetry=worst_asymmetry,
+        worst_asymmetry=max(worst_asymmetry, 0.0),
         worst_triangle_defect=max(defect, 0.0),
         worst_negative=worst_negative,
         worst_diagonal=worst_diagonal,

@@ -78,6 +78,27 @@ def test_output_bytes_deterministic(line10_csv):
     assert first.stdout == second.stdout
 
 
+def test_order_seed_is_the_seeded_permutation(line10_csv, tmp_path):
+    line10, order = cg.line_space(10), np.random.default_rng(5).permutation(10)
+    identity = cg.LargeScaleMap(np.arange(10), 1.0, 0.0)
+    pair = cg.EquivalencePair(identity, identity, 0.0)
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps(pair.to_dict()))
+    bijection, certificate = cg.restrict_equivalence(line10, line10, pair, 1.0, order)
+    graph, report = cg.build_geodesic_graph(line10, 1.5, order)
+    for argv, expected in [
+        (("net", "--K", 2), cg.greedy_separated_net(line10, 2.0, order)),
+        (("restrict", "--input2", line10_csv, "--pair", pair_path, "--epsilon", 1),
+         {"bijection": bijection, "certificate": {**certificate, "pass": True}}),
+        (("graph", "--c", 1.5), {"graph": graph, "certificate": {**report, "pass": True}}),
+    ]:
+        argv = (argv[0], "--input", line10_csv, *argv[1:])
+        first, second = (run_cli(*argv, "--order-seed", 5).stdout for _ in range(2))
+        assert first == second
+        assert json.loads(first) == cg.space.plain(expected)
+        assert first != run_cli(*argv).stdout  # the seeded order changes these outputs
+
+
 def test_validate_reports_triangle_witness(bad_csv):
     result = run_cli("validate", "--input", bad_csv, check=False)
     assert result.returncode == 2
@@ -990,6 +1011,19 @@ def test_extend_refuses_a_degenerate_only_pairing(tmp_path):
     result = run_cli("extend", *argv, check=False)
     assert result.returncode == 2 and result.stdout == ""
     assert _strict_json(result.stderr)["error"] == "CertificateError"
+
+
+def test_an_overflowing_distortion_is_inf_without_a_warning(tmp_path):
+    # the ratio 1e200 / 1e-200 is past the float range; numpy printed its overflow warning
+    (tmp_path / "small.csv").write_text("0,1e-200\n1e-200,0\n")
+    (tmp_path / "large.csv").write_text("0,1e200\n1e200,0\n")
+    net = {"members": [0, 1], "K": 1.0}
+    (tmp_path / "f.json").write_text(json.dumps(
+        {"domain_net": net, "range_net": net, "image": [0, 1], "K": 1.0}))
+    result = run_cli("distort", "--input", tmp_path / "small.csv", "--input2",
+                     tmp_path / "large.csv", "--bijection", tmp_path / "f.json")
+    assert _strict_json(result.stdout)["min_C"] is None
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize("table, argv", [

@@ -16,7 +16,7 @@ from coarsegeom.errors import (
     NotQuasiConvexAtScale,
     UnknownPoint,
 )
-from conftest import random_cloud_space, random_graph_space, random_space
+from conftest import random_cloud_space, random_graph_space, random_space, traced_peak
 
 
 def brute_force_chain_table(space, c):
@@ -139,6 +139,15 @@ def test_the_masked_chain_graph_is_the_dense_threshold_graph(n, c):
     assert graph.hop.tobytes() == hop.tobytes()
     assert graph.edges == [(int(members[i]), int(members[j]))
                            for i, j in np.argwhere(np.triu(adjacency, k=1))]
+
+
+def test_convexity_constants_hold_row_blocks_not_tables():
+    # the slope fit and the defect held a mask, a slope table and two defect tables
+    space = jittered_grid_space(1000, seed=1)
+    chains = cg.chain_metric(space, 2.5)
+    frontier, peak = traced_peak(cg.convexity_constants, space, 2.5, None, chains)
+    assert frontier[0].a > 1.0
+    assert peak <= space.dist.nbytes
 
 
 @settings(max_examples=30, deadline=None)

@@ -366,3 +366,9 @@ def test_function_shapes_are_refused_by_name(line10, call, message):
     with pytest.raises(ValueError) as err:
         call(line10)
     assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_a_tent_reads_the_distances_its_ball_was_drawn_from():
+    # point 0 is in the ball by d(0, 1) = 1; the row d(1, 0) = 2 gave it the tent -1/3
+    space = cg.FiniteMetricSpace([[0.0, 1.0], [2.0, 0.0]])
+    assert cg.bump_function(space, [1], [1.5]).values.tolist() == [(1.5 - 1.0) / 1.5, 1.0]

@@ -174,7 +174,7 @@ def test_the_pulled_back_scans_hold_row_blocks_not_tables():
     pts = gen.uniform(0.0, 100.0, size=(n, 2))
     perm = gen.permutation(n)
     dom, rng = cg.from_point_cloud(pts), cg.from_point_cloud(pts[perm])
-    blocks = 4 * maps.BLOCK_ROWS * n * 8
+    blocks = 4 * cg.space.BLOCK_ROWS * n * 8
     _, peak = traced_peak(cg.additive_slack, dom, rng, gen.integers(0, n, size=n), 1.5)
     assert peak <= blocks
     # phi carries each point to its own copy, so the pair is an isometry; the net is coarse
@@ -554,11 +554,11 @@ def test_distortion_and_the_oracle_are_the_per_pair_rule(case):
 
     m = min(len(t1), len(t2), 5)
     perms = list(itertools.permutations(range(m)))
+    report = cg.measure_distortion(cg.FiniteMetricSpace(t1), cg.FiniteMetricSpace(t2), a, b)
+    c_star, pairing = cg.min_distortion_bruteforce(
+        cg.FiniteMetricSpace(t1[:m, :m]), cg.FiniteMetricSpace(t2[:m, :m]))
     with np.errstate(over="ignore"):
-        report = cg.measure_distortion(cg.FiniteMetricSpace(t1), cg.FiniteMetricSpace(t2), a, b)
         C, expand, contract, degenerate = per_pair_distortion(t1[np.ix_(a, a)], t2[np.ix_(b, b)])
-        c_star, pairing = cg.min_distortion_bruteforce(
-            cg.FiniteMetricSpace(t1[:m, :m]), cg.FiniteMetricSpace(t2[:m, :m]))
         per_perm = [per_pair_distortion(t1[:m, :m], t2[np.ix_(p, p)])[0] for p in perms]
     assert (report.min_C, report.worst_expand_pair, report.worst_contract_pair,
             report.degenerate_pair) == (C, ids(expand), ids(contract), ids(degenerate))

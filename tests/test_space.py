@@ -430,6 +430,42 @@ def test_worst_triangle_defect_is_the_whole_table_argmax(seed, n):
     assert all(type(v) is int for v in got[1])
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([0, 1, 255, 256, 257, 513]) | st.integers(0, 40),
+       m=st.integers(1, 5), dead=st.sampled_from(["none", "rows", "first block", "all"]))
+def test_max_over_rows_is_the_whole_table_argmax(seed, n, m, dead):
+    gen = np.random.default_rng(seed)
+    table = gen.integers(-2, 3, size=(n, m)).astype(float)  # ties in every block
+    if dead == "rows":
+        table[gen.random(n) < 0.5] = -np.inf
+    elif dead != "none":
+        table[:space_module.BLOCK_ROWS if dead == "first block" else n] = -np.inf
+    asked = []
+
+    def block(rows):
+        asked.append(rows)
+        return table[rows]
+    expected = (-np.inf, (0, 0))
+    if n:
+        i, j = np.unravel_index(int(np.argmax(table)), table.shape)
+        expected = (float(table.max()), (int(i), int(j)))
+    got = space_module.max_over_rows(n, block)
+    assert got == expected
+    assert all(type(v) is int for v in got[1])
+    assert asked == [slice(lo, lo + space_module.BLOCK_ROWS)
+                     for lo in range(0, n, space_module.BLOCK_ROWS)]
+
+
+def test_validation_holds_two_tables_beyond_its_input():
+    # the whole-table asymmetry was a third table beside the repaired one and the triangle buffer
+    pts = np.random.default_rng(5).uniform(0.0, 100.0, size=(1000, 2))
+    table = cg.from_point_cloud(pts).dist.copy()
+    (space, report), peak = traced_peak(cg.from_distance_matrix, table)
+    assert report.verdict and space.dist.tobytes() == table.tobytes()
+    assert peak <= 2.25 * table.nbytes
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(13, 60))
 def test_worst_triangle_defect_names_the_first_of_tied_intermediates(seed, n):
