@@ -15,7 +15,6 @@ over all vertex pairs.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,8 +24,8 @@ import numpy as np
 from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
-    FiniteMetricSpace, Rebuilt, Record, check_bounds, check_point_ids, check_scale, exceeds,
-    frozen, hand_over, max_over_rows)
+    FiniteMetricSpace, Rebuilt, Record, check_bounds, check_point_ids, check_scale, digest,
+    exceeds, frozen, hand_over, max_over_rows)
 
 
 @dataclass(frozen=True)
@@ -69,21 +68,24 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
 
     Zero-length steps (pseudo-metric duplicates) are legitimate edges.
     The result is memoized on ``space`` by c and a digest of the table,
-    held weakly: while a caller holds it and the table is unchanged, the
-    same object is returned; else it is built afresh.
+    held weakly: while a caller holds it and neither the table nor its own
+    arrays have changed, the same object is returned; else it is built
+    afresh and replaces the entry.
     """
     from scipy.sparse.csgraph import csgraph_from_masked, shortest_path
 
     c = check_scale(c, "step bound c", positive=True)
-    key = c, hashlib.sha256(np.ascontiguousarray(space.dist)).digest()
+    dist = space.block(slice(None))
+    key = c, digest(dist)
     held = space._chains.get(key)
-    if held is not None:
+    if held is not None and held._seal == digest(held.table, held.predecessors):
         return held
-    graph = csgraph_from_masked(np.ma.masked_array(space.dist, mask=space.dist > c))
+    graph = csgraph_from_masked(np.ma.masked_array(dist, mask=dist > c))
     table, pred = shortest_path(
         graph, method="D", directed=False, return_predecessors=True
     )
     cm = ChainMetric(c=c, table=hand_over(table), predecessors=hand_over(pred))
+    object.__setattr__(cm, "_seal", digest(cm.table, cm.predecessors))  # no field: == omits it
     space._chains[key] = cm
     return cm
 
@@ -100,7 +102,7 @@ def convexity_constants(
     pair (clamped below at 1); pairs dominated by a smaller b with the
     same slope are dropped. ``chains``, when given, must be the very
     object ``chain_metric(space, c)`` returns now; any other, a hand-built
-    one or one of a table since rewritten, raises ``ValueError``.
+    one or one whose table or space's table was since rewritten, raises ``ValueError``.
     """
     c = check_scale(c, "scale c", positive=True)
     cm = chain_metric(space, c)
@@ -117,14 +119,14 @@ def convexity_constants(
         )
     if b_grid is None:
         b_grid = [0.0, c / 2.0, c, 2.0 * c, 4.0 * c]
-    t, d = cm.table, space.dist
+    t, d = cm.table, space.block
     frontier: list[ConvexityConstants] = []
     for b in sorted(check_scale(b, "offset b") for b in b_grid):
         a = max(1.0, max_over_rows(space.n, lambda rows: np.divide(
-            t[rows] - b, d[rows], out=np.full(d[rows].shape, -np.inf), where=d[rows] > 0))[0])
+            t[rows] - b, d(rows), out=np.full(d(rows).shape, -np.inf), where=d(rows) > 0))[0])
         if frontier and not exceeds(frontier[-1].a, a):
             continue
-        defect = max_over_rows(space.n, lambda rows: t[rows] - (a * d[rows] + b))[0]
+        defect = max_over_rows(space.n, lambda rows: t[rows] - (a * d(rows) + b))[0]
         check_bounds(
             f"constants (a={a}, b={b}) fail certification by {defect:g}",
             {"defect": (0.0, defect)},

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, partition_from_cells
 from .space import (
-    BLOCK_ROWS, FiniteMetricSpace, Rebuilt, Record, check_point_ids, check_scale, frozen,
-    plain)
+    BLOCK_ROWS, FiniteMetricSpace, Rebuilt, Record, check_point_ids, check_scale, digest,
+    frozen, plain)
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,10 @@ def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> Expansi
     for lo in range(0, space.n, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
         out[rows] = np.abs(vals[rows, None] - vals[None, :]).max(
-            axis=1, where=space.dist[rows] <= r, initial=0.0)
+            axis=1, where=space.block(rows) <= r, initial=0.0)
     field = ExpansionField(r=r, values=out)
-    object.__setattr__(field, "_source", (space, f))  # no field: == and pickling omit it
+    # no field: == and pickling omit it; its digest lets decay_profile refuse rewritten values
+    object.__setattr__(field, "_source", (space, f, digest(field.values)))
     return field
 
 
@@ -116,22 +117,23 @@ def decay_profile(
     field_cache: ExpansionField | None = None,
 ) -> DecayProfile:
     """Suprema of grad_r f over the tails {x : d(x, base) >= rho}; a ``field_cache``
-    must be the very object ``expansion(space, f, r)`` returned, else ``ValueError``."""
+    must be the very object ``expansion(space, f, r)`` returned, with its values
+    unchanged, else ``ValueError``."""
     r = check_scale(r, "expansion radius r")
     check_point_ids(space, base)
+    from_base = space.block(base)
     if rho_grid is None:
-        ecc = float(space.dist[base].max())
-        rho_grid = [ecc * t for t in (0.0, 0.25, 0.5, 0.75, 0.9)]
+        rho_grid = [float(from_base.max()) * t for t in (0.0, 0.25, 0.5, 0.75, 0.9)]
     rhos = [check_scale(rho, "tail radius rho") for rho in rho_grid]
     if sorted(rhos) != rhos:
         raise ValueError("rho grid must be increasing")
     exp_field = field_cache if field_cache is not None else expansion(space, f, r)
-    space_of, f_of = getattr(exp_field, "_source", (None, None))
-    if space_of is not space or f_of is not f or exp_field.r != r:
+    space_of, f_of, seal = getattr(exp_field, "_source", (None, None, None))
+    if (space_of is not space or f_of is not f or exp_field.r != r
+            or digest(exp_field.values) != seal):
         raise ValueError(f"field_cache must be the one expansion returned for this space "
-                         f"and function at radius {r!r}, with {space.n} values; got one at "
-                         f"radius {exp_field.r!r}, with shape {exp_field.values.shape}")
-    from_base = space.dist[base]
+                         f"and function at radius {r!r}, with {space.n} values unchanged; "
+                         f"got one at radius {exp_field.r!r}, with shape {exp_field.values.shape}")
     if not (from_base >= rhos[-1]).any():
         raise EmptyTail(
             f"no point is {rhos[-1]:g} or farther from the base point",
@@ -168,7 +170,7 @@ def bump_function(
     if (np.diff(rad) < 0).any():
         raise ValueError("radii must be nondecreasing")
     if base is not None:
-        gaps = space.dist[check_point_ids(space, base), ctr]
+        gaps = space.block(check_point_ids(space, base), ctr)
         if (np.diff(gaps) < 0).any():
             raise ValueError(
                 "centers must be ordered by nondecreasing distance from the base"

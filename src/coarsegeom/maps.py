@@ -66,6 +66,15 @@ def _mapping_array(
     return arr
 
 
+def _net_image(rng: FiniteMetricSpace, range_net: Net, image: Sequence[int]) -> np.ndarray:
+    """``image`` as intp once each value names a point of ``rng`` and it is a
+    bijection onto the members of ``range_net``."""
+    img = check_point_ids(rng, image)
+    if sorted(img.tolist()) != sorted(range_net.members.tolist()):
+        raise NotBijective("image is not a bijection onto the range net members")
+    return img
+
+
 def additive_slack(
     dom: FiniteMetricSpace,
     rng: FiniteMetricSpace,
@@ -78,7 +87,7 @@ def additive_slack(
     (lam, c) a valid large-scale Lipschitz distortion of ``mapping``.
     """
     m = _mapping_array(dom, rng, mapping)
-    return max_over_rows(dom.n, lambda rows: rng.block(m[rows], m) - lam * dom.dist[rows])
+    return max_over_rows(dom.n, lambda rows: rng.block(m[rows], m) - lam * dom.block(rows))
 
 
 def displacement(
@@ -86,7 +95,7 @@ def displacement(
 ) -> tuple[float, int]:
     """Max over x of d(x, mapping(x)): how far a self-map moves points."""
     m = _mapping_array(space, space, mapping)
-    moved = space.dist[np.arange(space.n), m]
+    moved = np.take_along_axis(space.block(slice(None)), m[:, None], axis=1)[:, 0]
     x = int(np.argmax(moved))
     return float(moved[x]), x
 
@@ -288,9 +297,7 @@ def make_net_bijection(
     K: float | None = None,
 ) -> NetBijection:
     """Assemble a NetBijection, measuring its bi-Lipschitz constant."""
-    img = check_point_ids(rng, image)
-    if sorted(img.tolist()) != sorted(range_net.members.tolist()):
-        raise NotBijective("image is not a bijection onto the range net members")
+    img = _net_image(rng, range_net, image)
     joint_K = max(domain_net.K, range_net.K) if K is None else K
     return NetBijection(
         domain_net=domain_net,
@@ -331,11 +338,12 @@ def extend_net_map(
             )
         snapped.append(nearest)
 
+    image = _net_image(rng, f.range_net, f.image)
     # member -> paired member lookups, -1 off the nets
     fwd = np.full(dom.n, -1, dtype=np.intp)
-    fwd[f.domain_net.members] = f.image
+    fwd[f.domain_net.members] = image
     bwd = np.full(rng.n, -1, dtype=np.intp)
-    bwd[f.image] = f.domain_net.members
+    bwd[image] = f.domain_net.members
     phi, psi = fwd[snapped[0]], bwd[snapped[1]]
 
     lam = max(C, 1.0)
@@ -364,7 +372,7 @@ def restrict_equivalence(
     """
     epsilon = check_scale(epsilon, "epsilon", positive=True)
     lam, c, R = pair.lam, pair.c, check_scale(pair.closeness, "closeness R")
-    phi = pair.forward.mapping
+    phi = _mapping_array(dom, rng, pair.forward.mapping)
 
     threshold = 2.0 * R + c + epsilon
     domain_net = greedy_separated_net(dom, threshold, order)
@@ -387,7 +395,7 @@ def restrict_equivalence(
         # d(x,y) - lam*d'(phi x, phi y) on a row block; its max must stay <= 2R + c
         g = rng.block(phi[rows], phi)
         g *= lam
-        return np.subtract(dom.dist[rows], g, out=g)
+        return np.subtract(dom.block(rows), g, out=g)
     eq_slack, eq_witness = max_over_rows(dom.n, gap)
 
     range_net = net_from_members(rng, image, claimed_radius)
@@ -457,7 +465,7 @@ def expansiveness_profile(
     grid = (
         default_radius_grid(dom.diameter()) if radius_grid is None else list(radius_grid)
     )
-    return _profile(dom.dist, rng.block(m, m), grid)
+    return _profile(dom.block(slice(None)), rng.block(m, m), grid)
 
 
 def properness_profile(
@@ -471,7 +479,7 @@ def properness_profile(
     grid = (
         default_radius_grid(rng.diameter()) if radius_grid is None else list(radius_grid)
     )
-    return _profile(rng.block(m, m), dom.dist, grid)
+    return _profile(rng.block(m, m), dom.block(slice(None)), grid)
 
 
 def quasi_inverse(
@@ -490,11 +498,11 @@ def quasi_inverse(
     N = check_scale(N, "N")
     m = _mapping_array(dom, rng, mapping)
     scan = _as_order(dom, order)
-    hits = within(rng.dist[m[scan], :], N)
+    hits = within(rng.block(m[scan]), N)
     covered = hits.any(axis=0)
     if not covered.all():
         witness = int(np.flatnonzero(~covered)[0])
-        gap = float(rng.dist[m, witness].min())
+        gap = float(rng.block(m, witness).min())
         raise NotDense(
             f"image is not {N}-dense: point {witness} of the range space "
             f"is {gap!r} from it",
@@ -524,6 +532,7 @@ def min_distortion_bruteforce(
             cap=BRUTEFORCE_CAP,
         )
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    *_, (worst, _) = _distortion(dom.dist, rng.dist[perms[:, :, None], perms[:, None, :]])
+    *_, (worst, _) = _distortion(dom.block(slice(None)), np.take_along_axis(
+        rng.block(perms), perms[:, None, :], axis=2))
     best = int(np.argmin(worst))
     return float(worst[best]), perms[best]

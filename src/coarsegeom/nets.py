@@ -58,7 +58,7 @@ def _claim_scan(space: FiniteMetricSpace, scan: np.ndarray,
     for x in scan.tolist():
         if not claimed[x]:
             # True > False: within K and not yet claimed
-            claim = np.greater(space.dist[x] <= K, claimed)
+            claim = np.greater(space.block(x) <= K, claimed)
             claimed |= claim
             claims[x] = np.flatnonzero(claim)
     return claims, claimed
@@ -194,13 +194,14 @@ def partition_from_cells(
             raise InvalidPartition(
                 f"the cell of member {x} does not contain it", member=x
             )
-        far = cell[~within(space.dist[x, cell], K)]
+        reach = space.block(x, cell)
+        far = np.flatnonzero(~within(reach, K))
         if far.size:
             raise InvalidPartition(
-                f"point {far[0]} of the cell of member {x} is "
-                f"{float(space.dist[x, far[0]])!r} > K = {K} from it",
+                f"point {cell[far[0]]} of the cell of member {x} is "
+                f"{float(reach[far[0]])!r} > K = {K} from it",
                 member=x,
-                witness=int(far[0]),
+                witness=int(cell[far[0]]),
             )
     counts = np.bincount(
         np.concatenate([np.empty(0, np.intp), *checked.values()]), minlength=space.n

@@ -10,6 +10,7 @@ are allowed.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import numbers
 import weakref
@@ -98,6 +99,16 @@ def frozen(value, dtype=None) -> np.ndarray:
     arr = np.array(value, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def digest(*arrays: np.ndarray) -> bytes:
+    """The SHA-256 digest of the bytes of ``arrays``: the one seal of a table,
+    and of a record held for reuse, checked on each use, since numpy lets an
+    array that owns its data be made writable again."""
+    seal = hashlib.sha256()
+    for arr in arrays:
+        seal.update(np.ascontiguousarray(arr))
+    return seal.digest()
 
 
 def hand_over(table: np.ndarray) -> np.ndarray:
@@ -207,8 +218,9 @@ class FiniteMetricSpace(Rebuilt):
 
     ``_chains`` is ``convexity.chain_metric``'s memo: the chain metric
     of each step bound, held weakly, so one that a caller still holds is
-    never built again. Its keys hold a digest of the table, so a table
-    made writable and rewritten gets no stale entry. It is no field:
+    never built again. Its keys hold a digest of the table and each entry
+    a digest of its own arrays, so neither a table nor an entry made
+    writable and rewritten is served. It is no field:
     ``==``, ``repr`` and every walk of the fields leave it out."""
 
     dist: np.ndarray
@@ -230,10 +242,10 @@ class FiniteMetricSpace(Rebuilt):
     def d(self, x: int, y: int) -> float:
         return float(self.dist[tuple(check_point_ids(self, (x, y)))])
 
-    def block(self, rows, cols) -> np.ndarray:
-        """The fresh block of the table at ``rows`` and ``cols``: the one gather
-        of a block, the rows first and then their columns."""
-        return np.take(self.dist[rows], cols, axis=1)
+    def block(self, rows, cols=None) -> np.ndarray:
+        """The fresh table at ``rows`` and ``cols``, rows first: the one read of the table.
+        Rows only give a read-only view of a slice or one id, a fresh copy of an id array."""
+        return self.dist[rows] if cols is None else np.take(self.dist[rows], cols, axis=-1)
 
     def diameter(self) -> float:
         return float(self.dist.max(initial=0.0))
@@ -349,8 +361,9 @@ def from_distance_matrix(
     symmetry, triangle inequality. Violations beyond ``tolerance``
     raise, naming an offending pair or triple; deviations within
     tolerance are repaired (entries clamped, table symmetrized as
-    ``(t + t.T) / 2``, diagonal zeroed). ``tolerance`` must be a
-    finite number >= 0 (see :func:`check_scale`).
+    ``(t + t.T) / 2``, or as ``t / 2 + t.T / 2`` when an entry exceeds
+    half the float maximum, so no sum overflows; diagonal zeroed).
+    ``tolerance`` must be a finite number >= 0 (see :func:`check_scale`).
     """
     tolerance = check_scale(tolerance, "tolerance")
     arr = np.asarray(table, dtype=np.float64)
@@ -364,11 +377,13 @@ def from_distance_matrix(
             values=[float(arr[i, j]), float(arr[j, i])],
         )
 
-    repaired = np.clip((arr + arr.T) / 2.0, 0.0, None)
+    halve = arr.max(initial=0.0) > np.finfo(np.float64).max / 2.0
+    repaired = np.clip(arr / 2.0 + arr.T / 2.0 if halve else (arr + arr.T) / 2.0, 0.0, None)
     np.fill_diagonal(repaired, 0.0)
     hand_over(repaired)
 
-    defect, (i, j, k) = worst_triangle_defect(repaired)
+    with np.errstate(over="ignore"):  # a sum past the float range is no defect: d - inf = -inf
+        defect, (i, j, k) = worst_triangle_defect(repaired)
     if exceeds(defect, 0.0, tolerance):
         raise TriangleError(
             f"d({i},{k}) = {repaired[i, k]} > d({i},{j}) + d({j},{k}) = "

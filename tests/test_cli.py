@@ -1026,6 +1026,17 @@ def test_an_overflowing_distortion_is_inf_without_a_warning(tmp_path):
     assert result.stderr == ""
 
 
+def test_a_metric_near_the_float_limit_validates(tmp_path):
+    # 1e308 <= 2e308, yet the repair's sum overflowed and NonFiniteEntry named an inf
+    (tmp_path / "huge.csv").write_text("0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n")
+    result = run_cli("validate", "--input", tmp_path / "huge.csv")
+    assert json.loads(result.stdout)["report"]["verdict"] == "pass"
+    assert result.stderr == ""
+    table = np.full((3, 3), 1e308)
+    np.fill_diagonal(table, 0.0)
+    assert cg.from_distance_matrix(table)[0].dist.tobytes() == table.tobytes()
+
+
 @pytest.mark.parametrize("table, argv", [
     ("0\n", ["--c", "1e-200", "--a", 1, "--b", 0]),  # c * c underflows: ZeroDivisionError
     ("0\n", ["--c", "1e-200"]),

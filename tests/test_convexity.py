@@ -447,6 +447,27 @@ def test_a_rewritten_table_is_never_served_a_stale_chain_metric():
     assert cg.chain_metric(space, 1.0) is held
 
 
+@pytest.mark.parametrize("name", ["table", "predecessors"])
+def test_a_rewritten_chain_metric_is_never_served(name):
+    # the held chain table rewritten to the ambient distances certified a = 1.0 at b = 0
+    space = cg.from_point_cloud([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    held = cg.chain_metric(space, 1.5)
+    owner = getattr(held, name)
+    while owner.base is not None:
+        owner = owner.base
+    owner.setflags(write=True)  # numpy allows it on an array that owns its data
+    owner[...] = space.dist if name == "table" else 0
+    frontier = cg.convexity_constants(space, 1.5)
+    assert [(k.a, k.b) for k in frontier] == [
+        (pytest.approx(math.sqrt(2.0)), 0.0), (pytest.approx(math.sqrt(2.0) - 0.375), 0.75),
+        (1.0, 1.5)]
+    with pytest.raises(ValueError, match="got another"):
+        cg.convexity_constants(space, 1.5, chains=held)
+    fresh = cg.chain_metric(space, 1.5)
+    assert fresh is not held and cg.chain_metric(space, 1.5) is fresh
+    assert fresh.chain_between(0, 2) == [0, 1, 2]
+
+
 def test_convexity_constants_refuses_the_chains_of_a_same_size_space():
     # A's chain(0, 2) = 2 > 1 * sqrt(2), yet B's table certified a = 1
     a_space = cg.from_point_cloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])

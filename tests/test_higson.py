@@ -339,6 +339,17 @@ def test_decay_profile_refuses_a_field_of_another_function_or_space(line10):
     assert [field.name for field in dataclasses.fields(own)] == ["r", "values"]
 
 
+def test_decay_profile_refuses_a_field_whose_values_were_rewritten(line10):
+    # zeroed values gave all-zero tails, so a Higson verdict at any threshold
+    f = cg.BoundedFunction(np.arange(10.0))
+    field = cg.expansion(line10, f, 1.0)
+    field.values.setflags(write=True)  # numpy allows it on an array that owns its data
+    field.values[:] = 0.0
+    with pytest.raises(ValueError, match="with 10 values unchanged"):
+        cg.decay_profile(line10, f, 1.0, 0, field_cache=field)
+    assert cg.decay_profile(line10, f, 1.0, 0).samples[-1] == (8.1, 1.0)
+
+
 def test_partition_extend_checks_the_partition_it_is_given(line10):
     # an enumeration order naming no member lost the value: the zero function
     lost = cg.BorelPartition(cells={0: np.arange(10)}, K=9.0, enumeration_order=np.array([5]))

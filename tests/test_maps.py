@@ -308,6 +308,29 @@ def test_restrict_requires_positive_epsilon(line10):
         cg.restrict_equivalence(line10, line10, pair, 0.0)
 
 
+def test_restriction_checks_the_forward_ids_of_a_directly_built_pair():
+    # the pairwise scan read the id -1 as point 5 and certified eq_slack 0.0
+    line = cg.line_space(6)
+    pair = cg.EquivalencePair(cg.LargeScaleMap([0, 1, 2, 3, 4, -1], 1.0, 0.0),
+                              cg.LargeScaleMap(np.arange(6), 1.0, 0.0), 0.0)
+    with pytest.raises(UnknownPoint) as err:
+        cg.restrict_equivalence(line, line, pair, 1.5)
+    assert err.value.payload == {"id": -1, "n": 6}
+
+
+@pytest.mark.parametrize("image, error, payload", [
+    ([0, 1, 2, 9], UnknownPoint, {"id": 9, "n": 4}),  # was numpy's IndexError
+    ([0, 1, 1, 2], NotBijective, {}),  # was UnknownPoint naming the lookup's fill value -1
+])
+def test_extension_checks_the_image_of_a_directly_built_bijection(image, error, payload):
+    line = cg.line_space(4)
+    net = cg.greedy_separated_net(line, 0.5)
+    f = cg.make_net_bijection(line, line, net, net, net.members)
+    with pytest.raises(error) as err:
+        cg.extend_net_map(line, line, dataclasses.replace(f, image=image))
+    assert err.value.payload == payload
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_restrict_bounds_on_extended_instances(seed):

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import json
 import math
+import pathlib
 import pickle
 import re
 
@@ -280,6 +282,27 @@ def test_a_block_is_the_ix_gather(seed, n, rows, cols):
     got, want = space.block(rows, cols), space.dist[np.ix_(rows, cols)]
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+    # rows only: a slice and one id are read-only views of the table, an id array a copy
+    cases = [(slice(1, -1), None, True), (rows, None, False)]
+    if rows.size:
+        cases += [(rows[0], None, True), (rows[0], cols, False)]
+    for r, c, view in cases:
+        got = space.block(r, c)
+        want = space.dist[r] if c is None else space.dist[r, c]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, space.dist) == (view and got.size > 0)
+        assert got.flags.writeable != view
+
+
+def test_only_space_reads_the_table():
+    # the table's layout is one module's decision: the others read it through block
+    modules = {path.name: ast.parse(path.read_text())
+               for path in pathlib.Path(cg.__file__).parent.glob("*.py")}
+    readers = [name for name, tree in modules.items() if name != "space.py" and any(
+        isinstance(node, ast.Attribute) and node.attr == "dist" for node in ast.walk(tree))]
+    assert {"space.py", "maps.py", "nets.py", "higson.py", "convexity.py"} < modules.keys()
+    assert readers == []
 
 
 def test_point_cloud_rejects_nan():
