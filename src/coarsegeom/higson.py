@@ -120,8 +120,7 @@ def decay_profile(
     must be the very object ``expansion(space, f, r)`` returned, with its values
     unchanged, else ``ValueError``."""
     r = check_scale(r, "expansion radius r")
-    check_point_ids(space, base)
-    from_base = space.block(base)
+    from_base = space.block(check_point_ids(space, base))
     if rho_grid is None:
         rho_grid = [float(from_base.max()) * t for t in (0.0, 0.25, 0.5, 0.75, 0.9)]
     rhos = [check_scale(rho, "tail radius rho") for rho in rho_grid]

@@ -95,7 +95,7 @@ def displacement(
 ) -> tuple[float, int]:
     """Max over x of d(x, mapping(x)): how far a self-map moves points."""
     m = _mapping_array(space, space, mapping)
-    moved = np.take_along_axis(space.block(slice(None)), m[:, None], axis=1)[:, 0]
+    moved = space.block(slice(None))[np.arange(space.n), m]
     x = int(np.argmax(moved))
     return float(moved[x]), x
 
@@ -498,11 +498,12 @@ def quasi_inverse(
     N = check_scale(N, "N")
     m = _mapping_array(dom, rng, mapping)
     scan = _as_order(dom, order)
-    hits = within(rng.block(m[scan]), N)
+    rows = rng.block(m[scan])
+    hits = within(rows, N)
     covered = hits.any(axis=0)
     if not covered.all():
         witness = int(np.flatnonzero(~covered)[0])
-        gap = float(rng.block(m, witness).min())
+        gap = float(rows[:, witness].min())
         raise NotDense(
             f"image is not {N}-dense: point {witness} of the range space "
             f"is {gap!r} from it",
@@ -532,7 +533,7 @@ def min_distortion_bruteforce(
             cap=BRUTEFORCE_CAP,
         )
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    *_, (worst, _) = _distortion(dom.block(slice(None)), np.take_along_axis(
-        rng.block(perms), perms[:, None, :], axis=2))
+    *_, (worst, _) = _distortion(
+        dom.block(slice(None)), rng.block(slice(None))[perms[:, :, None], perms[:, None, :]])
     best = int(np.argmin(worst))
     return float(worst[best]), perms[best]

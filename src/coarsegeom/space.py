@@ -361,8 +361,7 @@ def from_distance_matrix(
     symmetry, triangle inequality. Violations beyond ``tolerance``
     raise, naming an offending pair or triple; deviations within
     tolerance are repaired (entries clamped, table symmetrized as
-    ``(t + t.T) / 2``, or as ``t / 2 + t.T / 2`` when an entry exceeds
-    half the float maximum, so no sum overflows; diagonal zeroed).
+    ``t / 2 + t.T / 2``, which no entry can overflow; diagonal zeroed).
     ``tolerance`` must be a finite number >= 0 (see :func:`check_scale`).
     """
     tolerance = check_scale(tolerance, "tolerance")
@@ -377,8 +376,7 @@ def from_distance_matrix(
             values=[float(arr[i, j]), float(arr[j, i])],
         )
 
-    halve = arr.max(initial=0.0) > np.finfo(np.float64).max / 2.0
-    repaired = np.clip(arr / 2.0 + arr.T / 2.0 if halve else (arr + arr.T) / 2.0, 0.0, None)
+    repaired = np.clip(arr / 2.0 + arr.T / 2.0, 0.0, None)
     np.fill_diagonal(repaired, 0.0)
     hand_over(repaired)
 

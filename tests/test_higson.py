@@ -165,6 +165,12 @@ def test_decay_requires_increasing_grid(line10):
         cg.decay_profile(line10, f, 1.0, 0, [3, 1])
 
 
+def test_decay_reads_the_base_row_of_an_integral_float_id(line10):
+    # 2.0 passed the id check but indexed the table as given: numpy's IndexError
+    f = cg.BoundedFunction(np.arange(10.0))
+    assert cg.decay_profile(line10, f, 1.0, 2.0) == cg.decay_profile(line10, f, 1.0, 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_decay_samples_nonincreasing(seed):

@@ -465,6 +465,20 @@ def test_quasi_inverse_not_dense(line10):
     assert err.value.payload["witness"] == 4
 
 
+def test_a_not_dense_refusal_holds_one_table_beside_its_hits():
+    # the witness's gap comes from the image rows already gathered, not a second gather
+    n = 1000
+    line = cg.line_space(n)
+
+    def refuse():
+        with pytest.raises(NotDense) as err:
+            cg.quasi_inverse(line, line, np.zeros(n, dtype=np.intp), 3.0)
+        return err.value.payload
+    payload, peak = traced_peak(refuse)
+    assert payload["witness"] == 4 and payload["gap"] == 4.0
+    assert peak <= 1.05 * (8 + 1) * n * n
+
+
 def test_quasi_inverse_order_must_be_a_permutation(line10):
     # [0] * 10 scanned point 0 only and raised NotDense with a witness
     # lying at distance 0 from the image
