@@ -56,6 +56,7 @@ from .nets import (
 )
 from .space import (
     DEFAULT_TOLERANCE,
+    METRICS,
     FiniteMetricSpace,
     check_point_ids,
     check_scale,
@@ -374,6 +375,9 @@ def _powers_space(k: int, p: int) -> FiniteMetricSpace:
 
 
 def _cmd_demo_n2n3(args):
+    for flag, value, low in (("--kmax", args.kmax, 2), ("--truncation", args.truncation, 1)):
+        if value < low:
+            raise ValueError(f"{flag} must be an integer >= {low}, got {value}")
     # cubes -> squares is distance decreasing on every truncation
     decreasing = []
     for k in range(2, args.truncation + 1):
@@ -419,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--points{suffix}", action="store_true",
                            help=f"treat --input{suffix} as a point cloud")
             p.add_argument(f"--metric{suffix}", default="euclidean",
-                           choices=["euclidean", "manhattan", "chebyshev"])
+                           choices=list(METRICS))
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--tolerance", type=_tolerance_arg, default=None,

@@ -24,12 +24,12 @@ import numpy as np
 from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
-    FiniteMetricSpace, Rebuilt, Record, check_bounds, check_point_ids, check_scale, digest,
+    FiniteMetricSpace, Record, check_bounds, check_point_ids, check_scale, digest,
     exceeds, frozen, hand_over, max_over_rows)
 
 
 @dataclass(frozen=True)
-class ChainMetric(Rebuilt):
+class ChainMetric(Record):
     """Shortest chain totals at step bound c; inf encodes disconnection."""
 
     c: float
@@ -67,27 +67,22 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
     """Minimal total length of chains with steps <= c, between all pairs.
 
     Zero-length steps (pseudo-metric duplicates) are legitimate edges.
-    The result is memoized on ``space`` by c and a digest of the table,
-    held weakly: while a caller holds it and neither the table nor its own
-    arrays have changed, the same object is returned; else it is built
-    afresh and replaces the entry.
+    The result is reused through ``space.memo`` by c and the table while a
+    caller holds it unchanged.
     """
     from scipy.sparse.csgraph import csgraph_from_masked, shortest_path
 
     c = check_scale(c, "step bound c", positive=True)
     dist = space.block(slice(None))
-    key = c, digest(dist)
-    held = space._chains.get(key)
-    if held is not None and held._seal == digest(held.table, held.predecessors):
-        return held
-    graph = csgraph_from_masked(np.ma.masked_array(dist, mask=dist > c))
-    table, pred = shortest_path(
-        graph, method="D", directed=False, return_predecessors=True
-    )
-    cm = ChainMetric(c=c, table=hand_over(table), predecessors=hand_over(pred))
-    object.__setattr__(cm, "_seal", digest(cm.table, cm.predecessors))  # no field: == omits it
-    space._chains[key] = cm
-    return cm
+
+    def build() -> ChainMetric:
+        graph = csgraph_from_masked(np.ma.masked_array(dist, mask=dist > c))
+        table, pred = shortest_path(
+            graph, method="D", directed=False, return_predecessors=True
+        )
+        return ChainMetric(c=c, table=hand_over(table), predecessors=hand_over(pred))
+
+    return space.memo(("chain", c, digest(dist)), build, lambda cm: (cm.table, cm.predecessors))
 
 
 def convexity_constants(
@@ -136,7 +131,7 @@ def convexity_constants(
 
 
 @dataclass(frozen=True)
-class GeodesicGraph(Record, Rebuilt):
+class GeodesicGraph(Record):
     """Unit-edge graph on a c-separated c-net, edges at ambient d <= 3c."""
 
     vertices: Net

@@ -19,12 +19,12 @@ import numpy as np
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, partition_from_cells
 from .space import (
-    BLOCK_ROWS, FiniteMetricSpace, Rebuilt, Record, check_point_ids, check_scale, digest,
+    BLOCK_ROWS, FiniteMetricSpace, Record, check_point_ids, check_scale, digest,
     frozen, plain)
 
 
 @dataclass(frozen=True)
-class BoundedFunction(Record, Rebuilt):
+class BoundedFunction(Record):
     """Complex-valued function on the points of a space; its JSON form
     holds each value as a ``[re, im]`` pair."""
 
@@ -60,7 +60,7 @@ class BoundedFunction(Record, Rebuilt):
 
 
 @dataclass(frozen=True)
-class ExpansionField(Rebuilt):
+class ExpansionField(Record):
     """Pointwise r-expansion values of some bounded function."""
 
     r: float
@@ -90,22 +90,24 @@ class DecayProfile(Record):
 
 
 def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> ExpansionField:
-    """Exact r-expansion: max of |f(x) - f(y)| over the closed r-ball of x."""
+    """Exact r-expansion: max of |f(x) - f(y)| over the closed r-ball of x, reused
+    through ``space.memo`` by r and f's values while a caller holds it unchanged."""
     r = check_scale(r, "expansion radius r")
     if len(f) != space.n:
         raise ValueError(f"function has {len(f)} values for {space.n} points")
-    vals = f.values
-    if not vals.imag.any():
-        vals = vals.real  # plain float differences are much cheaper
-    out = np.empty(space.n)
-    for lo in range(0, space.n, BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        out[rows] = np.abs(vals[rows, None] - vals[None, :]).max(
-            axis=1, where=space.block(rows) <= r, initial=0.0)
-    field = ExpansionField(r=r, values=out)
-    # no field: == and pickling omit it; its digest lets decay_profile refuse rewritten values
-    object.__setattr__(field, "_source", (space, f, digest(field.values)))
-    return field
+
+    def build() -> ExpansionField:
+        vals = f.values
+        if not vals.imag.any():
+            vals = vals.real  # plain float differences are much cheaper
+        out = np.empty(space.n)
+        for lo in range(0, space.n, BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            out[rows] = np.abs(vals[rows, None] - vals[None, :]).max(
+                axis=1, where=space.block(rows) <= r, initial=0.0)
+        return ExpansionField(r=r, values=out)
+
+    return space.memo(("expansion", r, digest(f.values)), build, lambda field: (field.values,))
 
 
 def decay_profile(
@@ -117,22 +119,21 @@ def decay_profile(
     field_cache: ExpansionField | None = None,
 ) -> DecayProfile:
     """Suprema of grad_r f over the tails {x : d(x, base) >= rho}; a ``field_cache``
-    must be the very object ``expansion(space, f, r)`` returned, with its values
-    unchanged, else ``ValueError``."""
+    must be the very object ``expansion(space, f, r)`` returns now, else ``ValueError``."""
     r = check_scale(r, "expansion radius r")
     from_base = space.block(check_point_ids(space, base))
     if rho_grid is None:
         rho_grid = [float(from_base.max()) * t for t in (0.0, 0.25, 0.5, 0.75, 0.9)]
     rhos = [check_scale(rho, "tail radius rho") for rho in rho_grid]
+    if not rhos:
+        raise ValueError("rho grid must hold at least one radius, got none")
     if sorted(rhos) != rhos:
         raise ValueError("rho grid must be increasing")
-    exp_field = field_cache if field_cache is not None else expansion(space, f, r)
-    space_of, f_of, seal = getattr(exp_field, "_source", (None, None, None))
-    if (space_of is not space or f_of is not f or exp_field.r != r
-            or digest(exp_field.values) != seal):
+    exp_field = expansion(space, f, r)
+    if field_cache is not None and field_cache is not exp_field:
         raise ValueError(f"field_cache must be the one expansion returned for this space "
-                         f"and function at radius {r!r}, with {space.n} values unchanged; "
-                         f"got one at radius {exp_field.r!r}, with shape {exp_field.values.shape}")
+                         f"and function at radius {r!r}, with {space.n} values unchanged; got "
+                         f"one at radius {field_cache.r!r}, with shape {field_cache.values.shape}")
     if not (from_base >= rhos[-1]).any():
         raise EmptyTail(
             f"no point is {rhos[-1]:g} or farther from the base point",

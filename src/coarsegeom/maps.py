@@ -35,7 +35,6 @@ from .errors import (
 from .nets import Net, _as_order, greedy_separated_net, net_from_members
 from .space import (
     FiniteMetricSpace,
-    Rebuilt,
     Record,
     check_bounds,
     check_point_ids,
@@ -101,7 +100,7 @@ def displacement(
 
 
 @dataclass(frozen=True)
-class LargeScaleMap(Record, Rebuilt):
+class LargeScaleMap(Record):
     """Total map with certified d'(fx, fy) <= lam*d(x, y) + c."""
 
     mapping: np.ndarray
@@ -201,7 +200,7 @@ class DistortionReport(Record):
 
 
 @dataclass(frozen=True)
-class NetBijection(Record, Rebuilt):
+class NetBijection(Record):
     """Bi-Lipschitz bijection between nets: a coarse quasi-isometry (K, C)."""
 
     domain_net: Net

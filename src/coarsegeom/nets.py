@@ -24,7 +24,6 @@ from .errors import (
 )
 from .space import (
     FiniteMetricSpace,
-    Rebuilt,
     Record,
     check_point_ids,
     check_scale,
@@ -65,7 +64,7 @@ def _claim_scan(space: FiniteMetricSpace, scan: np.ndarray,
 
 
 @dataclass(frozen=True)
-class Net(Record, Rebuilt):
+class Net(Record):
     """A subset whose points cover the space within K and sit > delta apart.
 
     ``K`` is the certified cover bound, ``cover_radius`` the measured
@@ -85,7 +84,7 @@ class Net(Record, Rebuilt):
 
 
 @dataclass(frozen=True)
-class BorelPartition(Record, Rebuilt):
+class BorelPartition(Record):
     """Disjoint cells F_x, one per net member, with x in F_x subset B(x, K).
 
     ``cells`` is a plain dict of its own; its arrays are read-only."""

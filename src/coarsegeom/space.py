@@ -37,7 +37,8 @@ DEFAULT_TOLERANCE = 1e-9
 # rows of a distance table that one step of a blocked scan holds at once
 BLOCK_ROWS = 256
 
-_SCIPY_METRIC = {
+# each metric kind a point cloud takes, and scipy's name for it
+METRICS = {
     "euclidean": "euclidean",
     "manhattan": "cityblock",
     "chebyshev": "chebyshev",
@@ -65,11 +66,16 @@ def plain(value):
 
 
 class Record:
-    """Mixin for a dataclass report: its JSON form is each field through
-    :func:`plain`."""
+    """Mixin for a dataclass record: its JSON form is each field through
+    :func:`plain`, and it pickles and copies as a call of its constructor
+    on its init fields, so the copy is checked again, holds read-only
+    arrays and carries nothing off the fields: no memo, no seal."""
 
     def to_dict(self) -> dict:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def frozen(value, dtype=None) -> np.ndarray:
@@ -120,16 +126,6 @@ def hand_over(table: np.ndarray) -> np.ndarray:
         owner.setflags(write=False)
         owner = owner.base
     return table
-
-
-class Rebuilt:
-    """Mixin for a dataclass record that holds :func:`frozen` arrays: it
-    pickles and copies as a call of its constructor on its init fields,
-    so the copy is checked again, holds read-only arrays and starts with
-    no memo."""
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def check_scale(value, name: str, positive: bool = False) -> float:
@@ -208,7 +204,7 @@ def check_bounds(
 
 
 @dataclass(frozen=True)
-class FiniteMetricSpace(Rebuilt):
+class FiniteMetricSpace(Record):
     """A finite pseudo-metric space backed by a full distance table.
 
     Construction refuses a table that is not square, holds a nan, an
@@ -216,12 +212,8 @@ class FiniteMetricSpace(Rebuilt):
     (:func:`check_entries` at tolerance 0); the symmetry and triangle
     checks are :func:`from_distance_matrix`'s.
 
-    ``_chains`` is ``convexity.chain_metric``'s memo: the chain metric
-    of each step bound, held weakly, so one that a caller still holds is
-    never built again. Its keys hold a digest of the table and each entry
-    a digest of its own arrays, so neither a table nor an entry made
-    writable and rewritten is served. It is no field:
-    ``==``, ``repr`` and every walk of the fields leave it out."""
+    ``_memo`` holds the results :meth:`memo` serves, weakly. It is no
+    field: ``==``, ``repr`` and every walk of the fields leave it out."""
 
     dist: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -229,7 +221,7 @@ class FiniteMetricSpace(Rebuilt):
     def __post_init__(self):
         object.__setattr__(self, "dist", frozen(self.dist, np.float64))
         check_entries(self.dist, 0.0)
-        object.__setattr__(self, "_chains", weakref.WeakValueDictionary())
+        object.__setattr__(self, "_memo", weakref.WeakValueDictionary())
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.n} points"
@@ -246,6 +238,21 @@ class FiniteMetricSpace(Rebuilt):
         """The fresh table at ``rows`` and ``cols``, rows first: the one read of the table.
         Rows only give a read-only view of a slice or one id, a fresh copy of an id array."""
         return self.dist[rows] if cols is None else np.take(self.dist[rows], cols, axis=-1)
+
+    def memo(self, key, build: Callable[[], Record],
+             inputs: Callable[[Record], tuple[np.ndarray, ...]]) -> Record:
+        """The record held under ``key`` while a caller holds it and the :func:`digest` of
+        ``inputs(record)`` still matches the seal it got when built; else ``build()``,
+        sealed and held in its place: the one reuse rule for a result of this space. The
+        key names what the result is built from, by digest for an array that can be
+        rewritten, and the seal refuses a rewritten record. A seal is no field; a copy has none."""
+        held = self._memo.get(key)
+        if held is not None and held._seal == digest(*inputs(held)):
+            return held
+        record = build()
+        object.__setattr__(record, "_seal", digest(*inputs(record)))
+        self._memo[key] = record
+        return record
 
     def diameter(self) -> float:
         return float(self.dist.max(initial=0.0))
@@ -418,15 +425,15 @@ def from_point_cloud(
     if not np.isfinite(pts).all():
         i = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0][0])
         raise NonFiniteCoordinate(f"non-finite coordinate in point {i}", point=i)
-    if metric_kind not in _SCIPY_METRIC:
+    if metric_kind not in METRICS:
         raise ValueError(
             f"unknown metric kind {metric_kind!r}; "
-            f"expected one of {sorted(_SCIPY_METRIC)}"
+            f"expected one of {sorted(METRICS)}"
         )
     from scipy.spatial.distance import cdist
 
     # symmetric with zero diagonal: d(x, y) and d(y, x) are the same float operations
-    return FiniteMetricSpace(hand_over(cdist(pts, pts, metric=_SCIPY_METRIC[metric_kind])))
+    return FiniteMetricSpace(hand_over(cdist(pts, pts, metric=METRICS[metric_kind])))
 
 
 def line_space(n: int) -> FiniteMetricSpace:

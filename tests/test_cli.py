@@ -341,6 +341,49 @@ def test_demo_n2n3_small():
     assert [k for k, _ in blob["C_star"]] == [2, 3, 4]
 
 
+@pytest.mark.parametrize("flag,low", [("--kmax", 2), ("--truncation", 1)])
+@pytest.mark.parametrize("value", [-1, 0, 1])
+def test_demo_n2n3_refuses_a_size_below_its_floor(flag, low, value):
+    # --kmax 1 ended in an IndexError; --truncation 0 blamed a point cloud's shape
+    argv = {"--kmax": 3, "--truncation": 4, flag: value}
+    result = run_cli("demo-n2n3", *[a for pair in argv.items() for a in pair], check=False)
+    assert "Traceback" not in result.stderr
+    if value < low:
+        assert result.returncode == 64 and result.stdout == ""
+        assert result.stderr == f"coarsegeom: error: {flag} must be an integer >= {low}, got {value}\n"
+    else:
+        assert result.returncode == 0
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("decay", "--grid"), ("profile", "--grid"), ("convexity", "--b-grid"),
+    ("bump", "--radii"), ("bump", "--centers"), ("partition", "--order"),
+])
+def test_an_empty_list_flag_exits_cleanly(command, flag, argv_on_line10):
+    # decay --grid "," ended in an IndexError at its last radius
+    argv = list(argv_on_line10[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = ","
+    else:
+        argv += [flag, ","]
+    result = run_cli(command, *argv, check=False)
+    assert result.returncode in (0, 2, 64), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_decay_refuses_an_empty_grid(argv_on_line10):
+    result = run_cli("decay", *argv_on_line10["decay"], "--grid", ",", check=False)
+    assert result.returncode == 64
+    assert result.stderr == "coarsegeom: error: rho grid must hold at least one radius, got none\n"
+
+
+def test_metric_choices_are_the_library_table():
+    parser = cli.build_parser()
+    net = next(a for a in parser._actions if a.dest == "command").choices["net"]
+    assert next(a for a in net._actions if a.dest == "metric").choices == list(cg.space.METRICS)
+    assert "{euclidean,manhattan,chebyshev}" in net.format_help()
+
+
 def test_function_csv_round_trip(line10_csv, tmp_path):
     # bump and pextend write point,re,im; expansion and decay read it back
     bump_path = tmp_path / "bump.csv"

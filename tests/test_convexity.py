@@ -424,10 +424,10 @@ def test_the_memo_is_no_field_of_the_space(line10):
     cg.chain_metric(line10, 1.0)
     assert [f.name for f in dataclasses.fields(line10)] == ["dist", "labels"]
     assert dataclasses.asdict(line10).keys() == {"dist", "labels"}
-    assert "_chains" not in repr(line10) and "weak" not in repr(line10)
+    assert "_memo" not in repr(line10) and "weak" not in repr(line10)
     twin = cg.FiniteMetricSpace(line10.dist)
-    assert line10 == twin and dict(twin._chains) == {}
-    assert dataclasses.replace(line10)._chains is not line10._chains
+    assert line10 == twin and dict(twin._memo) == {}
+    assert dataclasses.replace(line10)._memo is not line10._memo
 
 
 def test_a_rewritten_table_is_never_served_a_stale_chain_metric():

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -163,6 +165,13 @@ def test_decay_requires_increasing_grid(line10):
     f = cg.BoundedFunction(np.ones(10))
     with pytest.raises(ValueError):
         cg.decay_profile(line10, f, 1.0, 0, [3, 1])
+
+
+def test_decay_refuses_an_empty_grid(line10):
+    # an empty grid ended in an IndexError at its last radius
+    f = cg.BoundedFunction(np.ones(10))
+    with pytest.raises(ValueError, match="rho grid must hold at least one radius"):
+        cg.decay_profile(line10, f, 1.0, 0, [])
 
 
 def test_decay_reads_the_base_row_of_an_integral_float_id(line10):
@@ -354,6 +363,39 @@ def test_decay_profile_refuses_a_field_whose_values_were_rewritten(line10):
     with pytest.raises(ValueError, match="with 10 values unchanged"):
         cg.decay_profile(line10, f, 1.0, 0, field_cache=field)
     assert cg.decay_profile(line10, f, 1.0, 0).samples[-1] == (8.1, 1.0)
+
+
+def test_decay_profile_refuses_a_field_of_a_function_rewritten_since(line10):
+    # the field of x -> x was accepted for the function zeroed since: tails 1.0, not 0.0
+    f = cg.BoundedFunction(np.arange(10.0).astype(complex))
+    field = cg.expansion(line10, f, 1.0)
+    f.values.setflags(write=True)  # numpy allows it on an array that owns its data
+    f.values[:] = 0.0
+    with pytest.raises(ValueError, match="one expansion returned for this space"):
+        cg.decay_profile(line10, f, 1.0, 0, [0, 5], field_cache=field)
+    assert cg.decay_profile(line10, f, 1.0, 0, [0, 5]).samples == [(0.0, 0.0), (5.0, 0.0)]
+
+
+def test_a_second_expansion_call_returns_the_held_field(line10):
+    f = cg.BoundedFunction(np.arange(10.0))
+    field = cg.expansion(line10, f, 1.0)
+    assert cg.expansion(line10, f, 1.0) is field
+    assert cg.expansion(line10, f, 2.0) is not field
+    # an equal-valued function has the same field, so it is served and accepted
+    twin = cg.BoundedFunction(np.arange(10.0))
+    assert cg.expansion(line10, twin, 1.0) is field
+    assert (cg.decay_profile(line10, twin, 1.0, 0, field_cache=field)
+            == cg.decay_profile(line10, f, 1.0, 0))
+
+
+def test_a_held_field_does_not_keep_its_space_alive():
+    # the field once held its space, and so the space's n x n table
+    space = cg.line_space(50)
+    field = cg.expansion(space, cg.BoundedFunction(np.arange(50.0)), 1.0)
+    alive = weakref.ref(space)
+    del space
+    gc.collect()
+    assert alive() is None and field.values.shape == (50,)
 
 
 def test_partition_extend_checks_the_partition_it_is_given(line10):

@@ -295,14 +295,26 @@ def test_a_block_is_the_ix_gather(seed, n, rows, cols):
         assert got.flags.writeable != view
 
 
-def test_only_space_reads_the_table():
-    # the table's layout is one module's decision: the others read it through block
+def _modules_but_space() -> dict[str, ast.AST]:
     modules = {path.name: ast.parse(path.read_text())
                for path in pathlib.Path(cg.__file__).parent.glob("*.py")}
-    readers = [name for name, tree in modules.items() if name != "space.py" and any(
-        isinstance(node, ast.Attribute) and node.attr == "dist" for node in ast.walk(tree))]
     assert {"space.py", "maps.py", "nets.py", "higson.py", "convexity.py"} < modules.keys()
+    return {name: tree for name, tree in modules.items() if name != "space.py"}
+
+
+def test_only_space_reads_the_table():
+    # the table's layout is one module's decision: the others read it through block
+    readers = [name for name, tree in _modules_but_space().items() if any(
+        isinstance(node, ast.Attribute) and node.attr == "dist" for node in ast.walk(tree))]
     assert readers == []
+
+
+def test_only_space_names_the_memo_or_its_seals():
+    # one reuse rule: the others reach the weak store only through FiniteMetricSpace.memo
+    users = [name for name, tree in _modules_but_space().items() if {"_memo", "_seal"} & {
+        getattr(node, key) for node in ast.walk(tree) for key in ("attr", "id", "value")
+        if isinstance(getattr(node, key, None), str)}]
+    assert users == []
 
 
 def test_point_cloud_rejects_nan():
@@ -847,7 +859,7 @@ def test_a_space_with_a_warm_memo_pickles_and_comes_back_without_it():
     chains = cg.chain_metric(space, 1.0)
     copy = pickle.loads(pickle.dumps(space))
     assert not copy.dist.flags.writeable
-    assert dict(copy._chains) == {}
+    assert dict(copy._memo) == {}
     assert cg.chain_metric(copy, 1.0) is not chains
     # the copy is built by the constructor, so its table is checked again
     object.__setattr__(space, "dist", np.full((4, 4), np.nan))
