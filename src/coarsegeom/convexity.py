@@ -24,8 +24,8 @@ import numpy as np
 from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
-    FiniteMetricSpace, Record, check_bounds, check_point_ids, check_scale, digest,
-    exceeds, frozen, hand_over, max_over_rows)
+    FiniteMetricSpace, Record, check_bounds, check_grid, check_point_ids, check_scale,
+    digest, exceeds, frozen, hand_over, max_over_rows)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
         )
         return ChainMetric(c=c, table=hand_over(table), predecessors=hand_over(pred))
 
-    return space.memo(("chain", c, digest(dist)), build, lambda cm: (cm.table, cm.predecessors))
+    return space.memo(("chain", c, digest(dist)), build)
 
 
 def convexity_constants(
@@ -116,7 +116,7 @@ def convexity_constants(
         b_grid = [0.0, c / 2.0, c, 2.0 * c, 4.0 * c]
     t, d = cm.table, space.block
     frontier: list[ConvexityConstants] = []
-    for b in sorted(check_scale(b, "offset b") for b in b_grid):
+    for b in sorted(check_grid(b_grid, "b grid", "offset b")):
         a = max(1.0, max_over_rows(space.n, lambda rows: np.divide(
             t[rows] - b, d(rows), out=np.full(d(rows).shape, -np.inf), where=d(rows) > 0))[0])
         if frontier and not exceeds(frontier[-1].a, a):

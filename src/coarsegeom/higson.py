@@ -19,7 +19,7 @@ import numpy as np
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, partition_from_cells
 from .space import (
-    BLOCK_ROWS, FiniteMetricSpace, Record, check_point_ids, check_scale, digest,
+    BLOCK_ROWS, FiniteMetricSpace, Record, check_grid, check_point_ids, check_scale, digest,
     frozen, plain)
 
 
@@ -90,8 +90,13 @@ class DecayProfile(Record):
 
 
 def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> ExpansionField:
-    """Exact r-expansion: max of |f(x) - f(y)| over the closed r-ball of x, reused
-    through ``space.memo`` by r and f's values while a caller holds it unchanged."""
+    """Exact r-expansion: max of |f(x) - f(y)| over the closed r-ball of x, built from the
+    table on each call and held through ``space.memo`` by r and f's values."""
+    return _expansion(space, f, r, fresh=True)
+
+
+def _expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float,
+               fresh: bool) -> ExpansionField:
     r = check_scale(r, "expansion radius r")
     if len(f) != space.n:
         raise ValueError(f"function has {len(f)} values for {space.n} points")
@@ -107,7 +112,7 @@ def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> Expansi
                 axis=1, where=space.block(rows) <= r, initial=0.0)
         return ExpansionField(r=r, values=out)
 
-    return space.memo(("expansion", r, digest(f.values)), build, lambda field: (field.values,))
+    return space.memo(("expansion", r, digest(f.values)), build, fresh)
 
 
 def decay_profile(
@@ -119,17 +124,16 @@ def decay_profile(
     field_cache: ExpansionField | None = None,
 ) -> DecayProfile:
     """Suprema of grad_r f over the tails {x : d(x, base) >= rho}; a ``field_cache``
-    must be the very object ``expansion(space, f, r)`` returns now, else ``ValueError``."""
+    must be the field ``expansion(space, f, r)`` returned and ``space.memo`` still holds,
+    with its values unchanged, and is read without a rebuild; any other raises ``ValueError``."""
     r = check_scale(r, "expansion radius r")
     from_base = space.block(check_point_ids(space, base))
     if rho_grid is None:
         rho_grid = [float(from_base.max()) * t for t in (0.0, 0.25, 0.5, 0.75, 0.9)]
-    rhos = [check_scale(rho, "tail radius rho") for rho in rho_grid]
-    if not rhos:
-        raise ValueError("rho grid must hold at least one radius, got none")
+    rhos = check_grid(rho_grid, "rho grid", "tail radius rho")
     if sorted(rhos) != rhos:
         raise ValueError("rho grid must be increasing")
-    exp_field = expansion(space, f, r)
+    exp_field = _expansion(space, f, r, fresh=field_cache is None)
     if field_cache is not None and field_cache is not exp_field:
         raise ValueError(f"field_cache must be the one expansion returned for this space "
                          f"and function at radius {r!r}, with {space.n} values unchanged; got "

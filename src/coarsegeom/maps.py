@@ -37,6 +37,7 @@ from .space import (
     FiniteMetricSpace,
     Record,
     check_bounds,
+    check_grid,
     check_point_ids,
     check_scale,
     exceeds,
@@ -449,7 +450,7 @@ def _profile(
 ) -> list[tuple[float, float]]:
     """(R, max of ``reach`` over the entries where ``within`` <= R) per
     grid R, 0 where there are none."""
-    radii = [check_scale(r, "radius") for r in grid]
+    radii = check_grid(grid, "radius grid", "radius")
     return [(r, float(reach[within <= r].max(initial=0.0))) for r in radii]
 
 

@@ -144,6 +144,15 @@ def check_scale(value, name: str, positive: bool = False) -> float:
     return number
 
 
+def check_grid(values: Iterable, grid: str, name: str) -> list[float]:
+    """``values`` as a list of floats, each through :func:`check_scale` under ``name``;
+    an empty ``grid`` raises ``ValueError``, since it gives no sample to read."""
+    checked = [check_scale(value, name) for value in values]
+    if not checked:
+        raise ValueError(f"{grid} must hold at least one value, got none")
+    return checked
+
+
 def check_point_ids(space: FiniteMetricSpace | int, ids) -> np.ndarray:
     """Return ``ids`` (one id or a flat sequence of them) as intp if each
     names a point of ``space`` (a space, or its number of points n);
@@ -239,18 +248,24 @@ class FiniteMetricSpace(Record):
         Rows only give a read-only view of a slice or one id, a fresh copy of an id array."""
         return self.dist[rows] if cols is None else np.take(self.dist[rows], cols, axis=-1)
 
-    def memo(self, key, build: Callable[[], Record],
-             inputs: Callable[[Record], tuple[np.ndarray, ...]]) -> Record:
-        """The record held under ``key`` while a caller holds it and the :func:`digest` of
-        ``inputs(record)`` still matches the seal it got when built; else ``build()``,
-        sealed and held in its place: the one reuse rule for a result of this space. The
-        key names what the result is built from, by digest for an array that can be
-        rewritten, and the seal refuses a rewritten record. A seal is no field; a copy has none."""
+    def memo(self, key, build: Callable[[], Record], fresh: bool = False) -> Record:
+        """The record held under ``key`` while a caller holds it and the :func:`digest` of its
+        array fields matches the seal it got when built; else ``build()``, sealed and held in
+        its place: the one reuse rule for a result of this space. A key names every input, by
+        digest for an array, unless ``fresh``: then each call builds, and the held record is
+        served only if the build seals the same. A seal is no field; a copy has none."""
+        def seal_of(record: Record) -> bytes:
+            return digest(*(v for v in vars(record).values() if isinstance(v, np.ndarray)))
+
         held = self._memo.get(key)
-        if held is not None and held._seal == digest(*inputs(held)):
+        intact = held is not None and held._seal == seal_of(held)
+        if intact and not fresh:
             return held
         record = build()
-        object.__setattr__(record, "_seal", digest(*inputs(record)))
+        seal = seal_of(record)
+        if intact and held._seal == seal:
+            return held
+        object.__setattr__(record, "_seal", seal)
         self._memo[key] = record
         return record
 

@@ -167,13 +167,6 @@ def test_decay_requires_increasing_grid(line10):
         cg.decay_profile(line10, f, 1.0, 0, [3, 1])
 
 
-def test_decay_refuses_an_empty_grid(line10):
-    # an empty grid ended in an IndexError at its last radius
-    f = cg.BoundedFunction(np.ones(10))
-    with pytest.raises(ValueError, match="rho grid must hold at least one radius"):
-        cg.decay_profile(line10, f, 1.0, 0, [])
-
-
 def test_decay_reads_the_base_row_of_an_integral_float_id(line10):
     # 2.0 passed the id check but indexed the table as given: numpy's IndexError
     f = cg.BoundedFunction(np.arange(10.0))
@@ -386,6 +379,27 @@ def test_a_second_expansion_call_returns_the_held_field(line10):
     assert cg.expansion(line10, twin, 1.0) is field
     assert (cg.decay_profile(line10, twin, 1.0, 0, field_cache=field)
             == cg.decay_profile(line10, f, 1.0, 0))
+
+
+def test_a_rewritten_table_is_never_served_a_stale_field():
+    # the field of x -> x held from before the table was scaled by 0.1 gave tails 1.0, not 9.0
+    space = cg.line_space(10)
+    f = cg.BoundedFunction(np.arange(10.0))
+    held, held_wide = cg.expansion(space, f, 1.0), cg.expansion(space, f, 2.0)
+    space.dist.setflags(write=True)  # numpy allows it on an array that owns its data
+    space.dist[:] *= 0.1
+    fresh = cg.FiniteMetricSpace(space.dist.copy())
+    field = cg.expansion(space, f, 1.0)
+    assert field is not held
+    assert np.array_equal(field.values, cg.expansion(fresh, f, 1.0).values)
+    profile = cg.decay_profile(space, f, 2.0, 0, [0, 0.5])  # held_wide gave tails 2.0
+    assert profile == cg.decay_profile(fresh, f, 2.0, 0, [0, 0.5])
+    assert profile.samples == [(0.0, 9.0), (0.5, 9.0)] and held_wide.values.max() == 2.0
+    # the field built from the new table is the one now held, and so the one accepted
+    with pytest.raises(ValueError, match="one expansion returned for this space"):
+        cg.decay_profile(space, f, 1.0, 0, [0, 0.5], field_cache=held)
+    cached = cg.decay_profile(space, f, 1.0, 0, [0, 0.5], field_cache=field)
+    assert cached.samples == profile.samples
 
 
 def test_a_held_field_does_not_keep_its_space_alive():

@@ -204,6 +204,20 @@ def test_every_scale_and_constant_is_finite_and_in_range(name):
             call(bad)
 
 
+@pytest.mark.parametrize("grid, call", [
+    ("rho grid", lambda line, grid: cg.decay_profile(line, cg.BoundedFunction(np.ones(10)),
+                                                     1.0, 0, grid)),
+    ("b grid", lambda line, grid: cg.convexity_constants(line, 1.0, grid)),
+    ("radius grid", lambda line, grid: cg.expansiveness_profile(line, line, range(10), grid)),
+    ("radius grid", lambda line, grid: cg.properness_profile(line, line, range(10), grid)),
+])
+def test_an_empty_grid_is_refused_by_name(grid, call, line10):
+    # decay_profile ended in an IndexError; the others gave no sample and no verdict
+    with pytest.raises(ValueError, match=f"^{grid} must hold at least one value, got none$"):
+        call(line10, [])
+    assert call(line10, [0.0, 2.0])
+
+
 def test_nonfinite_entry_rejected():
     with pytest.raises(NonFiniteEntry):
         cg.from_distance_matrix([[0, np.inf], [np.inf, 0]])
