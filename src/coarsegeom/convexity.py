@@ -3,9 +3,14 @@
 A space is quasi-convex at scale c with constants (a, b) if every pair
 is joined by a chain of steps <= c whose total length is <= a*d + b.
 Chains are realized as shortest paths in the threshold graph whose
-edges join points at distance <= c, weighted by the ambient distance;
-the skeleton construction then puts unit edges between net points at
-distance <= 3c and certifies both comparison bounds
+edges join points at distance <= c, weighted by the ambient distance.
+``space.threshold_graph`` builds it from row blocks, with no n x n mask,
+and weights each pair by min(d(x, y), d(y, x)): the entry itself on a
+symmetric table, and on one built directly that is not symmetric, a step
+either way within c, as an undirected search of the entries would take.
+The graph holds both directions of every edge, so one directed search
+relaxes each edge once. The skeleton construction then puts unit edges
+between net points at distance <= 3c and certifies both comparison bounds
 
     hop(x, y) <= ((a*c + b) / c^2) * d(x, y)
     d(x, y)   <= 3c * hop(x, y)
@@ -25,7 +30,7 @@ from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
     FiniteMetricSpace, Record, check_bounds, check_grid, check_point_ids, check_scale,
-    digest, exceeds, frozen, hand_over, max_over_rows)
+    digest, exceeds, frozen, hand_over, max_over_rows, threshold_graph)
 
 
 @dataclass(frozen=True)
@@ -66,23 +71,21 @@ class ConvexityConstants(Record):
 def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
     """Minimal total length of chains with steps <= c, between all pairs.
 
-    Zero-length steps (pseudo-metric duplicates) are legitimate edges.
+    Zero-length steps (pseudo-metric duplicates) are legitimate edges. The
+    steps are the edges of ``threshold_graph(space, c)``.
     The result is reused through ``space.memo`` by c and the table while a
     caller holds it unchanged.
     """
-    from scipy.sparse.csgraph import csgraph_from_masked, shortest_path
+    from scipy.sparse.csgraph import shortest_path
 
     c = check_scale(c, "step bound c", positive=True)
-    dist = space.block(slice(None))
 
     def build() -> ChainMetric:
-        graph = csgraph_from_masked(np.ma.masked_array(dist, mask=dist > c))
-        table, pred = shortest_path(
-            graph, method="D", directed=False, return_predecessors=True
-        )
+        table, pred = shortest_path(threshold_graph(space, c), method="D", directed=True,
+                                    return_predecessors=True)
         return ChainMetric(c=c, table=hand_over(table), predecessors=hand_over(pred))
 
-    return space.memo(("chain", c, digest(dist)), build)
+    return space.memo(("chain", c, digest(space.block(slice(None)))), build)
 
 
 def convexity_constants(
@@ -115,10 +118,13 @@ def convexity_constants(
     if b_grid is None:
         b_grid = [0.0, c / 2.0, c, 2.0 * c, 4.0 * c]
     t, d = cm.table, space.block
+
+    def slopes(gap: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        return np.divide(gap, dist, out=np.full(dist.shape, -np.inf), where=dist > 0)
+
     frontier: list[ConvexityConstants] = []
     for b in sorted(check_grid(b_grid, "b grid", "offset b")):
-        a = max(1.0, max_over_rows(space.n, lambda rows: np.divide(
-            t[rows] - b, d(rows), out=np.full(d(rows).shape, -np.inf), where=d(rows) > 0))[0])
+        a = max(1.0, max_over_rows(space.n, lambda rows: slopes(t[rows] - b, d(rows)))[0])
         if frontier and not exceeds(frontier[-1].a, a):
             continue
         defect = max_over_rows(space.n, lambda rows: t[rows] - (a * d(rows) + b))[0]
@@ -188,8 +194,9 @@ def build_geodesic_graph(
         for i, j in np.argwhere(np.triu(adjacency, k=1))
     ]
 
-    hop = shortest_path(adjacency.astype(np.int8), method="D", unweighted=True,
-                        directed=False)
+    # both directions of every edge, so the search runs directed
+    hop = shortest_path((adjacency | adjacency.T).astype(np.int8), method="D", unweighted=True,
+                        directed=True)
     if not np.isfinite(hop).all():
         i, j = np.argwhere(~np.isfinite(hop))[0]
         raise GraphDisconnected(

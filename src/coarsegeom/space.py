@@ -357,6 +357,29 @@ def max_over_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[float, 
     return worst, (lo + i, j)
 
 
+def threshold_graph(space: FiniteMetricSpace, c: float):
+    """The CSR graph of the pairs x, y with min(d(x, y), d(y, x)) <= c, weighted by that
+    minimum, built from ``BLOCK_ROWS``-row blocks with no n x n temporary: the one threshold
+    graph. A zero entry (the diagonal, a duplicate point) stays an edge of length 0, and
+    each row's columns ascend. The minimum is the entry itself on a symmetric table; on one
+    that is not, it joins x and y when either direction is within c, so a directed search
+    of the graph is the undirected search of the table's entries within c."""
+    from scipy.sparse import csr_matrix
+
+    ids = np.arange(space.n)
+    weights, cols, degrees = [np.empty(0)], [np.empty(0, np.int32)], [np.zeros(1, np.intp)]
+    for lo in range(0, space.n, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        w = np.minimum(space.block(rows), space.block(slice(None), ids[rows]).T)
+        keep = w <= c
+        weights.append(w[keep])
+        cols.append(np.nonzero(keep)[1].astype(np.int32))  # scipy's index type: no copy
+        degrees.append(keep.sum(axis=1))
+    indptr = np.cumsum(np.concatenate(degrees))
+    return csr_matrix((np.concatenate(weights), np.concatenate(cols), indptr),
+                      shape=(space.n, space.n))
+
+
 def worst_triangle_defect(dist: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Max over triples of d(i,k) - d(i,j) - d(j,k) and an attaining triple.
 

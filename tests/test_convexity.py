@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 import coarsegeom as cg
@@ -16,7 +16,8 @@ from coarsegeom.errors import (
     NotQuasiConvexAtScale,
     UnknownPoint,
 )
-from conftest import random_cloud_space, random_graph_space, random_space, traced_peak
+from conftest import (
+    planted_table, random_cloud_space, random_graph_space, random_space, traced_peak)
 
 
 def brute_force_chain_table(space, c):
@@ -121,7 +122,7 @@ def jittered_grid_space(n, seed):
 @pytest.mark.parametrize("n, c", [(30, 2.5), (30, 6.0), (30, 1e4), (300, 2.5), (300, 6.0),
                                   (1000, 2.5)])
 def test_the_masked_chain_graph_is_the_dense_threshold_graph(n, c):
-    # c = 1e4 masks no entry, where np.ma.masked_greater gives the scalar nomask
+    # c = 1e4 leaves out no entry
     space = jittered_grid_space(n, seed=n)
     weights = np.where(space.dist <= c, space.dist, np.inf)
     table, pred = shortest_path(csgraph_from_dense(weights, null_value=np.inf), method="D",
@@ -139,6 +140,56 @@ def test_the_masked_chain_graph_is_the_dense_threshold_graph(n, c):
     assert graph.hop.tobytes() == hop.tobytes()
     assert graph.edges == [(int(members[i]), int(members[j]))
                            for i, j in np.argwhere(np.triu(adjacency, k=1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24), symmetric=st.booleans(),
+       edgeless=st.booleans())
+@example(seed=0, n=0, symmetric=True, edgeless=False)
+@example(seed=0, n=1, symmetric=False, edgeless=False)
+@example(seed=1, n=12, symmetric=False, edgeless=True)
+def test_the_directed_chain_search_is_the_undirected_one(seed, n, symmetric, edgeless):
+    # a symmetric integer table with ties and duplicate points, or a directly built
+    # table that is not symmetric; an edgeless step bound lies below every nonzero entry
+    gen = np.random.default_rng(seed)
+    if symmetric:
+        dist = planted_table(gen, n)
+    else:
+        dist = gen.integers(0, 6, size=(n, n)).astype(float)
+        np.fill_diagonal(dist, 0.0)
+    nonzero = dist[dist > 0]
+    c = nonzero.min() / 2.0 if edgeless and nonzero.size else float(gen.integers(1, 9)) / 2.0
+    weights = np.where(dist <= c, dist, np.inf)
+    table, pred = shortest_path(csgraph_from_dense(weights, null_value=np.inf), method="D",
+                                directed=False, return_predecessors=True)
+    cm = cg.chain_metric(cg.FiniteMetricSpace(dist), c)
+    assert cm.table.tobytes() == table.tobytes()
+    assert cm.predecessors.tobytes() == pred.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 256])
+def test_the_threshold_graph_is_the_dense_one_at_any_block_size(block_rows, monkeypatch):
+    # both directions of each pair within c, weighted by the smaller, zeros kept as edges
+    gen = np.random.default_rng(block_rows)
+    dist = gen.integers(0, 6, size=(20, 20)).astype(float)
+    np.fill_diagonal(dist, 0.0)
+    monkeypatch.setattr(cg.space, "BLOCK_ROWS", block_rows)
+    graph = cg.space.threshold_graph(cg.FiniteMetricSpace(dist), 2.0)
+    low = np.minimum(dist, dist.T)
+    dense = csgraph_from_dense(np.where(low <= 2.0, low, np.inf), null_value=np.inf)
+    assert graph.shape == (20, 20)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(graph, name).tolist() == getattr(dense, name).tolist()
+    assert graph.indices.dtype == np.int32 and graph.data.dtype == np.float64
+
+
+def test_the_chain_metric_holds_its_sparse_graph_beside_its_tables():
+    # the masked build held an n x n mask, and the undirected search a transposed graph
+    space = jittered_grid_space(1000, seed=1)
+    chains, peak = traced_peak(cg.chain_metric, space, 6.0)
+    assert chains.is_connected()
+    extra = peak - chains.table.nbytes - chains.predecessors.nbytes
+    assert extra < 0.2 * space.dist.nbytes
 
 
 def test_convexity_constants_hold_row_blocks_not_tables():
