@@ -30,7 +30,7 @@ from .errors import GraphDisconnected, NotQuasiConvexAtScale
 from .nets import Net, greedy_separated_net
 from .space import (
     FiniteMetricSpace, Record, check_bounds, check_grid, check_point_ids, check_scale,
-    digest, exceeds, frozen, hand_over, max_over_rows, threshold_graph)
+    exceeds, frozen, hand_over, max_over_rows, threshold_graph)
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,22 @@ class ChainMetric(Record):
         object.__setattr__(self, "predecessors", frozen(self.predecessors))
 
     def chain_between(self, x: int, y: int) -> list[int] | None:
-        """Witness chain from x to y with every step <= c, or None."""
-        x, y = check_point_ids(len(self.table), (x, y)).tolist()
+        """Witness chain from x to y with every step <= c, or None. Each step is read
+        through ``check_point_ids``, and a walk that returns to a point raises
+        ``ValueError`` naming the cycle, so it ends within n steps."""
+        n = len(self.table)
+        x, y = check_point_ids(n, (x, y)).tolist()
         if not math.isfinite(self.table[x, y]):
             return None
-        path = [y]
+        path, seen = [y], {y}
         while path[-1] != x:
-            path.append(int(self.predecessors[x, path[-1]]))
+            step = int(check_point_ids(n, int(self.predecessors[x, path[-1]])))
+            if step in seen:
+                cycle = path[path.index(step):] + [step]
+                raise ValueError(f"the predecessors from {x} cycle through {cycle[::-1]} "
+                                 f"without reaching {x}")
+            path.append(step)
+            seen.add(step)
         return path[::-1]
 
     def is_connected(self) -> bool:
@@ -73,8 +82,8 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
 
     Zero-length steps (pseudo-metric duplicates) are legitimate edges. The
     steps are the edges of ``threshold_graph(space, c)``.
-    The result is reused through ``space.memo`` by c and the table while a
-    caller holds it unchanged.
+    The result is reused through ``space.memo``, keyed by c alone, while a
+    caller holds it: the space's table is sealed, so it cannot change.
     """
     from scipy.sparse.csgraph import shortest_path
 
@@ -85,7 +94,7 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
                                     return_predecessors=True)
         return ChainMetric(c=c, table=hand_over(table), predecessors=hand_over(pred))
 
-    return space.memo(("chain", c, digest(space.block(slice(None)))), build)
+    return space.memo(("chain", c), build)
 
 
 def convexity_constants(
@@ -99,8 +108,8 @@ def convexity_constants(
     For each b in the grid, a(b) is the least slope covering every
     pair (clamped below at 1); pairs dominated by a smaller b with the
     same slope are dropped. ``chains``, when given, must be the very
-    object ``chain_metric(space, c)`` returns now; any other, a hand-built
-    one or one whose table or space's table was since rewritten, raises ``ValueError``.
+    object ``chain_metric(space, c)`` returns now; any other, such as a
+    hand-built one or one of another space, raises ``ValueError``.
     """
     c = check_scale(c, "scale c", positive=True)
     cm = chain_metric(space, c)

@@ -90,13 +90,8 @@ class DecayProfile(Record):
 
 
 def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> ExpansionField:
-    """Exact r-expansion: max of |f(x) - f(y)| over the closed r-ball of x, built from the
-    table on each call and held through ``space.memo`` by r and f's values."""
-    return _expansion(space, f, r, fresh=True)
-
-
-def _expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float,
-               fresh: bool) -> ExpansionField:
+    """Exact r-expansion: max of |f(x) - f(y)| over the closed r-ball of x, reused
+    through ``space.memo`` by r and the :func:`digest` of f's values while a caller holds it."""
     r = check_scale(r, "expansion radius r")
     if len(f) != space.n:
         raise ValueError(f"function has {len(f)} values for {space.n} points")
@@ -112,7 +107,7 @@ def _expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float,
                 axis=1, where=space.block(rows) <= r, initial=0.0)
         return ExpansionField(r=r, values=out)
 
-    return space.memo(("expansion", r, digest(f.values)), build, fresh)
+    return space.memo(("expansion", r, digest(f.values)), build)
 
 
 def decay_profile(
@@ -123,9 +118,9 @@ def decay_profile(
     rho_grid: Sequence[float] | None = None,
     field_cache: ExpansionField | None = None,
 ) -> DecayProfile:
-    """Suprema of grad_r f over the tails {x : d(x, base) >= rho}; a ``field_cache``
-    must be the field ``expansion(space, f, r)`` returned and ``space.memo`` still holds,
-    with its values unchanged, and is read without a rebuild; any other raises ``ValueError``."""
+    """Suprema of grad_r f over the tails {x : d(x, base) >= rho}, read from the field
+    ``expansion(space, f, r)`` returns; a ``field_cache`` must be that very field, which
+    ``space.memo`` holds while the caller does, and any other raises ``ValueError``."""
     r = check_scale(r, "expansion radius r")
     from_base = space.block(check_point_ids(space, base))
     if rho_grid is None:
@@ -133,11 +128,11 @@ def decay_profile(
     rhos = check_grid(rho_grid, "rho grid", "tail radius rho")
     if sorted(rhos) != rhos:
         raise ValueError("rho grid must be increasing")
-    exp_field = _expansion(space, f, r, fresh=field_cache is None)
+    exp_field = expansion(space, f, r)
     if field_cache is not None and field_cache is not exp_field:
         raise ValueError(f"field_cache must be the one expansion returned for this space "
-                         f"and function at radius {r!r}, with {space.n} values unchanged; got "
-                         f"one at radius {field_cache.r!r}, with shape {field_cache.values.shape}")
+                         f"and function at radius {r!r}, with {space.n} values; got one at "
+                         f"radius {field_cache.r!r}, with shape {field_cache.values.shape}")
     if not (from_base >= rhos[-1]).any():
         raise EmptyTail(
             f"no point is {rhos[-1]:g} or farther from the base point",

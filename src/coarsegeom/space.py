@@ -68,8 +68,8 @@ def plain(value):
 class Record:
     """Mixin for a dataclass record: its JSON form is each field through
     :func:`plain`, and it pickles and copies as a call of its constructor
-    on its init fields, so the copy is checked again, holds read-only
-    arrays and carries nothing off the fields: no memo, no seal."""
+    on its init fields, so the copy is checked again, holds sealed arrays
+    (:func:`frozen`) and carries nothing off the fields, such as a memo."""
 
     def to_dict(self) -> dict:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
@@ -78,23 +78,40 @@ class Record:
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
+class _Sealed:
+    """The owner of every record array: it lends ``_keep``'s memory through an
+    ``__array_interface__`` marked read-only and has no buffer protocol, so numpy
+    refuses ``setflags(write=True)`` on every array over it and every view of one."""
+
+    __slots__ = ("__array_interface__", "_keep")
+
+    def __init__(self, array: np.ndarray):
+        self._keep = array
+        interface = array.__array_interface__
+        self.__array_interface__ = {**interface, "data": (interface["data"][0], True)}
+
+
+def hand_over(table: np.ndarray) -> np.ndarray:
+    """``table``, a builder's fresh array, sealed without a copy: a new array over a
+    :class:`_Sealed` owner of it, which :func:`frozen` holds as it is. A builder keeps
+    the array returned and no longer writes to ``table``."""
+    return np.asarray(_Sealed(table))
+
+
 def frozen(value, dtype=None) -> np.ndarray:
-    """``value`` as a read-only array of ``dtype`` (None keeps its own):
-    the one ownership rule for every array a record holds. An array of
-    that dtype is held as it is when it is read-only and so is every
-    array on its ``.base`` chain, down to the one that owns the data;
-    anything else is copied into a private C-contiguous read-only array,
-    so no view a caller keeps, nor the array a read-only view was taken
-    of, can rewrite the record, and the caller's own array stays
-    writable. A builder hands a fresh n x n table over without a copy
-    through :func:`hand_over`. Cast to an integer dtype, a float that is
-    not an integer raises ``UnknownPoint`` naming the first one, so an
-    id is never truncated."""
+    """``value`` as a sealed array of ``dtype`` (None keeps its own): the one
+    ownership rule for every array a record holds. An array of that dtype whose
+    ``.base`` chain ends in a :class:`_Sealed` owner is held as it is; anything
+    else, a caller's read-only array included, is copied into a C-contiguous
+    array sealed by :func:`hand_over`. So no array a caller keeps can rewrite
+    the record, and none the record holds can be made writable through numpy.
+    Cast to an integer dtype, a float that is not an integer raises
+    ``UnknownPoint`` naming the first one, so an id is never truncated."""
     if isinstance(value, np.ndarray) and (dtype is None or value.dtype == dtype):
         owner = value
-        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        while isinstance(owner, np.ndarray):
             owner = owner.base
-        if owner is None:
+        if isinstance(owner, _Sealed):
             return value
     if dtype is not None and np.dtype(dtype).kind == "i":
         raw = np.asarray(value)
@@ -102,30 +119,16 @@ def frozen(value, dtype=None) -> np.ndarray:
             bad = raw[~np.isfinite(raw) | (np.floor(raw) != raw)].tolist()
             if bad:
                 raise UnknownPoint(f"point id {bad[0]!r} is not an integer", id=bad[0])
-    arr = np.array(value, dtype=dtype, order="C")
-    arr.setflags(write=False)
-    return arr
+    return hand_over(np.array(value, dtype=dtype, order="C"))
 
 
 def digest(*arrays: np.ndarray) -> bytes:
-    """The SHA-256 digest of the bytes of ``arrays``: the one seal of a table,
-    and of a record held for reuse, checked on each use, since numpy lets an
-    array that owns its data be made writable again."""
-    seal = hashlib.sha256()
+    """The SHA-256 digest of the bytes of ``arrays``: a key that names
+    an array input by its values, such as a function's."""
+    sha = hashlib.sha256()
     for arr in arrays:
-        seal.update(np.ascontiguousarray(arr))
-    return seal.digest()
-
-
-def hand_over(table: np.ndarray) -> np.ndarray:
-    """``table``, a builder's fresh array, made read-only together with
-    every array on its ``.base`` chain, so that :func:`frozen` holds it
-    without a copy."""
-    owner = table
-    while isinstance(owner, np.ndarray):
-        owner.setflags(write=False)
-        owner = owner.base
-    return table
+        sha.update(np.ascontiguousarray(arr))
+    return sha.digest()
 
 
 def check_scale(value, name: str, positive: bool = False) -> float:
@@ -248,25 +251,13 @@ class FiniteMetricSpace(Record):
         Rows only give a read-only view of a slice or one id, a fresh copy of an id array."""
         return self.dist[rows] if cols is None else np.take(self.dist[rows], cols, axis=-1)
 
-    def memo(self, key, build: Callable[[], Record], fresh: bool = False) -> Record:
-        """The record held under ``key`` while a caller holds it and the :func:`digest` of its
-        array fields matches the seal it got when built; else ``build()``, sealed and held in
-        its place: the one reuse rule for a result of this space. A key names every input, by
-        digest for an array, unless ``fresh``: then each call builds, and the held record is
-        served only if the build seals the same. A seal is no field; a copy has none."""
-        def seal_of(record: Record) -> bytes:
-            return digest(*(v for v in vars(record).values() if isinstance(v, np.ndarray)))
-
-        held = self._memo.get(key)
-        intact = held is not None and held._seal == seal_of(held)
-        if intact and not fresh:
-            return held
-        record = build()
-        seal = seal_of(record)
-        if intact and held._seal == seal:
-            return held
-        object.__setattr__(record, "_seal", seal)
-        self._memo[key] = record
+    def memo(self, key, build: Callable[[], Record]) -> Record:
+        """The record held under ``key`` while a caller holds it, else ``build()``, held
+        in its place: the one reuse rule for a result of this space. The key names every
+        input but the table, which is sealed; an array input by its :func:`digest`."""
+        record = self._memo.get(key)
+        if record is None:
+            record = self._memo[key] = build()
         return record
 
     def diameter(self) -> float:
@@ -423,7 +414,7 @@ def from_distance_matrix(
 
     repaired = np.clip(arr / 2.0 + arr.T / 2.0, 0.0, None)
     np.fill_diagonal(repaired, 0.0)
-    hand_over(repaired)
+    repaired = hand_over(repaired)
 
     with np.errstate(over="ignore"):  # a sum past the float range is no defect: d - inf = -inf
         defect, (i, j, k) = worst_triangle_defect(repaired)

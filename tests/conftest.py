@@ -9,6 +9,7 @@ import pytest
 from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 import coarsegeom as cg
+from coarsegeom import space as space_module
 
 
 def random_cloud_space(rng, n=None, dim=None, kind=None, duplicates=False):
@@ -135,3 +136,16 @@ def line10():
 @pytest.fixture
 def line21():
     return cg.line_space(21)
+
+
+def assert_sealed(arr):
+    """Assert that numpy refuses ``setflags(write=True)`` on ``arr``, on a view
+    of it and on every array on either's ``.base`` chain, and that the chain
+    ends in the sealed owner ``space._Sealed``."""
+    for owner in (arr, arr[...]):
+        while isinstance(owner, np.ndarray):
+            assert not owner.flags.writeable
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                owner.setflags(write=True)
+            owner = owner.base
+        assert type(owner) is space_module._Sealed

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import gc
 import math
+import signal
 import weakref
 
 import numpy as np
@@ -17,7 +19,8 @@ from coarsegeom.errors import (
     UnknownPoint,
 )
 from conftest import (
-    planted_table, random_cloud_space, random_graph_space, random_space, traced_peak)
+    assert_sealed, planted_table, random_cloud_space, random_graph_space, random_space,
+    traced_peak)
 
 
 def brute_force_chain_table(space, c):
@@ -482,41 +485,62 @@ def test_the_memo_is_no_field_of_the_space(line10):
 
 
 def test_a_rewritten_table_is_never_served_a_stale_chain_metric():
+    # d(0, 3) rewritten to 0.5 through the table's owner was certified a = 6.0 from the
+    # held chain 0-1-2-3; now the first step, making the table writable, is refused
     space = cg.line_space(4)
     held = cg.chain_metric(space, 1.0)
-    space.dist.setflags(write=True)  # numpy allows it on an array that owns its data
-    space.dist[0, 3] = space.dist[3, 0] = 0.5
-    frontier = cg.convexity_constants(space, 1.0, b_grid=[0.0])
-    assert [k.a for k in frontier] != [6.0]  # the old chain 0-1-2-3 over the new d(0, 3)
-    assert frontier == cg.convexity_constants(
-        cg.FiniteMetricSpace(space.dist.copy()), 1.0, b_grid=[0.0])
-    fresh = cg.chain_metric(space, 1.0)
-    assert fresh is not held and fresh.table[0, 3] == 0.5
-    with pytest.raises(ValueError, match="got another"):
-        cg.convexity_constants(space, 1.0, b_grid=[0.0], chains=held)
-    space.dist[0, 3] = space.dist[3, 0] = 3.0
-    assert cg.chain_metric(space, 1.0) is held
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        space.dist.setflags(write=True)
+    assert_sealed(space.dist)
+    assert cg.chain_metric(space, 1.0) is held and held.table[0, 3] == 3.0
+    assert cg.convexity_constants(space, 1.0, b_grid=[0.0], chains=held) == [
+        cg.ConvexityConstants(a=1.0, b=0.0, c=1.0)]
 
 
 @pytest.mark.parametrize("name", ["table", "predecessors"])
 def test_a_rewritten_chain_metric_is_never_served(name):
-    # the held chain table rewritten to the ambient distances certified a = 1.0 at b = 0
+    # the held chain table rewritten through its owner to the ambient distances certified
+    # a = 1.0 at b = 0; now no array on its base chain can be made writable
     space = cg.from_point_cloud([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     held = cg.chain_metric(space, 1.5)
-    owner = getattr(held, name)
-    while owner.base is not None:
-        owner = owner.base
-    owner.setflags(write=True)  # numpy allows it on an array that owns its data
-    owner[...] = space.dist if name == "table" else 0
-    frontier = cg.convexity_constants(space, 1.5)
+    assert_sealed(getattr(held, name))  # the owner the repro made writable among them
+    frontier = cg.convexity_constants(space, 1.5, chains=held)
     assert [(k.a, k.b) for k in frontier] == [
         (pytest.approx(math.sqrt(2.0)), 0.0), (pytest.approx(math.sqrt(2.0) - 0.375), 0.75),
         (1.0, 1.5)]
-    with pytest.raises(ValueError, match="got another"):
-        cg.convexity_constants(space, 1.5, chains=held)
-    fresh = cg.chain_metric(space, 1.5)
-    assert fresh is not held and cg.chain_metric(space, 1.5) is fresh
-    assert fresh.chain_between(0, 2) == [0, 1, 2]
+    assert cg.chain_metric(space, 1.5) is held
+    assert held.chain_between(0, 2) == [0, 1, 2]
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_chain_between_refuses_predecessors_that_leave_the_space_or_cycle():
+    # predecessors[0, 3] = -3 gave the chain [0, -3, 3], a wrapped id; a cycle 3 -> 2 -> 3
+    # between predecessors[0, 3] and predecessors[0, 2] never returned
+    own = cg.chain_metric(cg.line_space(4), 1.0)
+    wrapped = own.predecessors.copy()
+    wrapped[0, 3] = -3
+    with pytest.raises(UnknownPoint, match="point id -3 is not in a space of 4 points"):
+        cg.ChainMetric(1.0, own.table, wrapped).chain_between(0, 3)
+    cycling = own.predecessors.copy()
+    cycling[0, 3], cycling[0, 2] = 2, 3
+    with _deadline(2.0), pytest.raises(ValueError, match=r"cycle through \[3, 2, 3\] "
+                                                          r"without reaching 0"):
+        cg.ChainMetric(1.0, own.table, cycling).chain_between(0, 3)
+    assert own.chain_between(0, 3) == [0, 1, 2, 3]
 
 
 def test_convexity_constants_refuses_the_chains_of_a_same_size_space():

@@ -16,7 +16,7 @@ from coarsegeom.errors import (
     PartitionGap,
     UnknownPoint,
 )
-from conftest import random_bounded_function, random_space
+from conftest import assert_sealed, random_bounded_function, random_space
 
 ALGEBRA_TOL = 1e-12
 
@@ -348,25 +348,26 @@ def test_decay_profile_refuses_a_field_of_another_function_or_space(line10):
 
 
 def test_decay_profile_refuses_a_field_whose_values_were_rewritten(line10):
-    # zeroed values gave all-zero tails, so a Higson verdict at any threshold
+    # values zeroed through setflags(write=True) gave all-zero tails, so a Higson verdict
+    # at any threshold; now that first step is refused and the field is read as built
     f = cg.BoundedFunction(np.arange(10.0))
     field = cg.expansion(line10, f, 1.0)
-    field.values.setflags(write=True)  # numpy allows it on an array that owns its data
-    field.values[:] = 0.0
-    with pytest.raises(ValueError, match="with 10 values unchanged"):
-        cg.decay_profile(line10, f, 1.0, 0, field_cache=field)
-    assert cg.decay_profile(line10, f, 1.0, 0).samples[-1] == (8.1, 1.0)
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        field.values.setflags(write=True)
+    assert_sealed(field.values)
+    assert cg.decay_profile(line10, f, 1.0, 0, field_cache=field).samples[-1] == (8.1, 1.0)
 
 
 def test_decay_profile_refuses_a_field_of_a_function_rewritten_since(line10):
-    # the field of x -> x was accepted for the function zeroed since: tails 1.0, not 0.0
+    # the field of x -> x was accepted for the function zeroed since: tails 1.0, not 0.0;
+    # now zeroing the function is refused at its first step
     f = cg.BoundedFunction(np.arange(10.0).astype(complex))
     field = cg.expansion(line10, f, 1.0)
-    f.values.setflags(write=True)  # numpy allows it on an array that owns its data
-    f.values[:] = 0.0
-    with pytest.raises(ValueError, match="one expansion returned for this space"):
-        cg.decay_profile(line10, f, 1.0, 0, [0, 5], field_cache=field)
-    assert cg.decay_profile(line10, f, 1.0, 0, [0, 5]).samples == [(0.0, 0.0), (5.0, 0.0)]
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        f.values.setflags(write=True)
+    assert_sealed(f.values)
+    assert cg.decay_profile(line10, f, 1.0, 0, [0, 5], field_cache=field).samples == [
+        (0.0, 1.0), (5.0, 1.0)]
 
 
 def test_a_second_expansion_call_returns_the_held_field(line10):
@@ -382,24 +383,29 @@ def test_a_second_expansion_call_returns_the_held_field(line10):
 
 
 def test_a_rewritten_table_is_never_served_a_stale_field():
-    # the field of x -> x held from before the table was scaled by 0.1 gave tails 1.0, not 9.0
+    # fields held from before the table was scaled by 0.1 in place gave tails 1.0 and 2.0,
+    # not 9.0; now making the table writable, the first step, is refused
     space = cg.line_space(10)
     f = cg.BoundedFunction(np.arange(10.0))
     held, held_wide = cg.expansion(space, f, 1.0), cg.expansion(space, f, 2.0)
-    space.dist.setflags(write=True)  # numpy allows it on an array that owns its data
-    space.dist[:] *= 0.1
-    fresh = cg.FiniteMetricSpace(space.dist.copy())
-    field = cg.expansion(space, f, 1.0)
-    assert field is not held
-    assert np.array_equal(field.values, cg.expansion(fresh, f, 1.0).values)
-    profile = cg.decay_profile(space, f, 2.0, 0, [0, 0.5])  # held_wide gave tails 2.0
-    assert profile == cg.decay_profile(fresh, f, 2.0, 0, [0, 0.5])
-    assert profile.samples == [(0.0, 9.0), (0.5, 9.0)] and held_wide.values.max() == 2.0
-    # the field built from the new table is the one now held, and so the one accepted
-    with pytest.raises(ValueError, match="one expansion returned for this space"):
-        cg.decay_profile(space, f, 1.0, 0, [0, 0.5], field_cache=held)
-    cached = cg.decay_profile(space, f, 1.0, 0, [0, 0.5], field_cache=field)
-    assert cached.samples == profile.samples
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        space.dist.setflags(write=True)
+    assert cg.expansion(space, f, 1.0) is held and cg.expansion(space, f, 2.0) is held_wide
+    profile = cg.decay_profile(space, f, 2.0, 0, [0, 0.5], field_cache=held_wide)
+    assert profile == cg.decay_profile(cg.line_space(10), f, 2.0, 0, [0, 0.5])
+    assert profile.samples == [(0.0, 2.0), (0.5, 2.0)]
+
+
+def test_a_held_field_cannot_outlive_its_table():
+    # holding the field of x -> x at r = 1 and scaling the table's owner by 0.1 made
+    # field_cache give tails 1.0 and a Higson verdict at 2.0, where a fresh space gives 9.0;
+    # now no array on the table's base chain can be made writable
+    space = cg.line_space(10)
+    f = cg.BoundedFunction(np.arange(10.0))
+    held = cg.expansion(space, f, 1.0)
+    assert_sealed(space.dist)  # the table's owner among the arrays refused
+    profile = cg.decay_profile(space, f, 1.0, 0, [0, 0.5], field_cache=held)
+    assert profile == cg.decay_profile(cg.line_space(10), f, 1.0, 0, [0, 0.5])
 
 
 def test_a_held_field_does_not_keep_its_space_alive():

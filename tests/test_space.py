@@ -24,7 +24,7 @@ from coarsegeom.errors import (
     TriangleError,
     UnknownPoint,
 )
-from conftest import planted_table, random_space, traced_peak
+from conftest import assert_sealed, planted_table, random_space, traced_peak
 
 
 def test_smallest_valid_metric():
@@ -309,11 +309,21 @@ def test_a_block_is_the_ix_gather(seed, n, rows, cols):
         assert got.flags.writeable != view
 
 
-def _modules_but_space() -> dict[str, ast.AST]:
+def _modules() -> dict[str, ast.AST]:
     modules = {path.name: ast.parse(path.read_text())
                for path in pathlib.Path(cg.__file__).parent.glob("*.py")}
     assert {"space.py", "maps.py", "nets.py", "higson.py", "convexity.py"} < modules.keys()
-    return {name: tree for name, tree in modules.items() if name != "space.py"}
+    return modules
+
+
+def _modules_but_space() -> dict[str, ast.AST]:
+    return {name: tree for name, tree in _modules().items() if name != "space.py"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every attribute, name and string constant in ``tree``."""
+    return {getattr(node, key) for node in ast.walk(tree) for key in ("attr", "id", "value")
+            if isinstance(getattr(node, key, None), str)}
 
 
 def test_only_space_reads_the_table():
@@ -324,10 +334,12 @@ def test_only_space_reads_the_table():
 
 
 def test_only_space_names_the_memo_or_its_seals():
-    # one reuse rule: the others reach the weak store only through FiniteMetricSpace.memo
-    users = [name for name, tree in _modules_but_space().items() if {"_memo", "_seal"} & {
-        getattr(node, key) for node in ast.walk(tree) for key in ("attr", "id", "value")
-        if isinstance(getattr(node, key, None), str)}]
+    # one reuse rule and one sealing rule: the others reach the weak store only through
+    # FiniteMetricSpace.memo, and seal an array only through frozen or hand_over
+    private = {"_memo", "_Sealed", "_keep"}
+    assert private <= _names(_modules()["space.py"])
+    users = [name for name, tree in _modules_but_space().items()
+             if (private | {"setflags"}) & _names(tree)]
     assert users == []
 
 
@@ -841,18 +853,19 @@ def test_a_read_only_view_of_a_writable_array_is_copied():
     table[0, 1] = 7.0
     assert space.d(0, 1) == 1.0
     assert space.dist is not view and table.flags.writeable
-    # a read-only view of a read-only base is still held as it is
+    # a caller's read-only owner, and a view of it, can be made writable again: both copied
     table.setflags(write=False)
-    assert cg.FiniteMetricSpace(view).dist is view
+    for caller in (table, view):
+        held = cg.FiniteMetricSpace(caller).dist
+        assert held is not caller and not np.shares_memory(held, caller)
+        assert_sealed(held)
 
 
 def test_the_chain_metric_hands_over_its_base_too():
     # shortest_path returns views of writable arrays
     chains = cg.chain_metric(cg.line_space(5), 1.0)
     for held in (chains.table, chains.predecessors):
-        while held is not None:
-            assert not held.flags.writeable
-            held = held.base
+        assert_sealed(held)
 
 
 @pytest.mark.parametrize("name", sorted(_held_arrays()))
@@ -865,6 +878,70 @@ def test_a_record_unpickles_through_its_constructor(name):
     for h, original in zip(held(copy), held(record)):
         np.testing.assert_array_equal(h, original)
         assert not h.flags.writeable
+
+
+def _record_arrays(value) -> list[np.ndarray]:
+    """Every array ``value`` holds: a record's fields, nested records, dicts and sequences."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, space_module.Record):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [arr for v in value for arr in _record_arrays(v)]
+    return []
+
+
+def _read_only(arr):
+    arr = np.array(arr)
+    arr.setflags(write=False)
+    return arr
+
+
+def _every_record():
+    """Per name: a record from a builder, or built directly from a caller's
+    writable or read-only arrays."""
+    line4 = cg.line_space(4)
+    net = cg.greedy_separated_net(line4, 2.0)
+    part = cg.borel_partition(line4, net, 2.0)
+    f = cg.partition_extend(line4, part, [1.0, 2.0j])
+    bijection = cg.make_net_bijection(line4, line4, net, net, net.members)
+    pair = cg.extend_net_map(line4, line4, bijection)[0]
+    records = {
+        "line_space": line4,
+        "from_point_cloud": cg.from_point_cloud(np.arange(8.0).reshape(4, 2)),
+        "from_distance_matrix": cg.from_distance_matrix(np.array(line4.dist))[0],
+        "chain_metric": cg.chain_metric(line4, 1.0),
+        "greedy_separated_net": net,
+        "net_from_members": cg.net_from_members(line4, [0, 3], 2.0),
+        "refine_net": cg.refine_net(line4, net, 3.0),
+        "borel_partition": part,
+        "partition_extend": f,
+        "bump_function": cg.bump_function(line4, [0], [1.0]),
+        "compose": f.compose([3, 2, 1, 0]),
+        "expansion": cg.expansion(line4, f, 1.0),
+        "build_geodesic_graph": cg.build_geodesic_graph(line4, 1.0)[0],
+        "make_net_bijection": bijection,
+        "extend_net_map": pair,
+        "restrict_equivalence": cg.restrict_equivalence(line4, line4, pair, 1.0)[0],
+        "large_scale_map": cg.large_scale_map(line4, line4, [0, 1, 2, 3], 1.0, 0.0),
+    }
+    for name, (build, arrays, _) in _held_arrays().items():
+        records[f"{name} of writable arrays"] = build(*(np.array(a) for a in arrays))
+        records[f"{name} of read-only arrays"] = build(*(_read_only(a) for a in arrays))
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(_every_record()))
+def test_no_record_array_can_be_made_writable(name):
+    # numpy made an array that owns its data writable again, and so any record array
+    record = _every_record()[name]
+    for held in (record, pickle.loads(pickle.dumps(record, protocol=5))):
+        arrays = _record_arrays(held)
+        assert arrays
+        for arr in arrays:
+            assert_sealed(arr)
 
 
 def test_a_space_with_a_warm_memo_pickles_and_comes_back_without_it():
