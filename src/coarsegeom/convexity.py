@@ -35,33 +35,28 @@ from .space import (
 
 @dataclass(frozen=True)
 class ChainMetric(Record):
-    """Shortest chain totals at step bound c; inf encodes disconnection."""
+    """Shortest chain totals at step bound c on its space; inf encodes disconnection."""
 
     c: float
     table: np.ndarray
-    predecessors: np.ndarray
+    space: FiniteMetricSpace
 
     def __post_init__(self):
         object.__setattr__(self, "table", frozen(self.table))
-        object.__setattr__(self, "predecessors", frozen(self.predecessors))
 
     def chain_between(self, x: int, y: int) -> list[int] | None:
-        """Witness chain from x to y with every step <= c, or None. Each step is read
-        through ``check_point_ids``, and a walk that returns to a point raises
-        ``ValueError`` naming the cycle, so it ends within n steps."""
-        n = len(self.table)
-        x, y = check_point_ids(n, (x, y)).tolist()
-        if not math.isfinite(self.table[x, y]):
+        """Witness chain from x to y with every step <= c, or None: the path to y of
+        one directed Dijkstra from x on ``threshold_graph(space, c)``."""
+        from scipy.sparse.csgraph import shortest_path
+
+        x, y = check_point_ids(self.space, (x, y)).tolist()
+        row, pred = shortest_path(threshold_graph(self.space, self.c), method="D",
+                                  directed=True, indices=x, return_predecessors=True)
+        if not math.isfinite(row[y]):
             return None
-        path, seen = [y], {y}
+        path = [y]
         while path[-1] != x:
-            step = int(check_point_ids(n, int(self.predecessors[x, path[-1]])))
-            if step in seen:
-                cycle = path[path.index(step):] + [step]
-                raise ValueError(f"the predecessors from {x} cycle through {cycle[::-1]} "
-                                 f"without reaching {x}")
-            path.append(step)
-            seen.add(step)
+            path.append(int(pred[path[-1]]))
         return path[::-1]
 
     def is_connected(self) -> bool:
@@ -90,9 +85,8 @@ def chain_metric(space: FiniteMetricSpace, c: float) -> ChainMetric:
     c = check_scale(c, "step bound c", positive=True)
 
     def build() -> ChainMetric:
-        table, pred = shortest_path(threshold_graph(space, c), method="D", directed=True,
-                                    return_predecessors=True)
-        return ChainMetric(c=c, table=hand_over(table), predecessors=hand_over(pred))
+        table = shortest_path(threshold_graph(space, c), method="D", directed=True)
+        return ChainMetric(c=c, table=hand_over(table), space=space)
 
     return space.memo(("chain", c), build)
 
@@ -150,11 +144,12 @@ class GeodesicGraph(Record):
     """Unit-edge graph on a c-separated c-net, edges at ambient d <= 3c."""
 
     vertices: Net
-    edges: list[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]
     hop: np.ndarray
     c: float
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         object.__setattr__(self, "hop", frozen(self.hop))
 
     def to_dot(self, space: FiniteMetricSpace | None = None) -> str:
@@ -198,10 +193,7 @@ def build_geodesic_graph(
     members = net.members
     sub = space.block(members, members)
     adjacency = sub <= 3.0 * c
-    edges = [
-        (int(members[i]), int(members[j]))
-        for i, j in np.argwhere(np.triu(adjacency, k=1))
-    ]
+    edges = members[np.argwhere(np.triu(adjacency, k=1))].tolist()
 
     # both directions of every edge, so the search runs directed
     hop = shortest_path((adjacency | adjacency.T).astype(np.int8), method="D", unweighted=True,

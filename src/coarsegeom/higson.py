@@ -76,7 +76,10 @@ class DecayProfile(Record):
 
     r: float
     base: int
-    samples: list[tuple[float, float]]
+    samples: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples", tuple(map(tuple, self.samples)))
 
     def final_level(self) -> float:
         return self.samples[-1][1]

@@ -197,7 +197,10 @@ class DistortionReport(Record):
     worst_expand_pair: tuple[int, int] | None
     worst_contract_pair: tuple[int, int] | None
     degenerate_pair: tuple[int, int] | None
-    profile: list[tuple[float, float]]
+    profile: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "profile", tuple(map(tuple, self.profile)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,6 @@
-import contextlib
 import dataclasses
 import gc
 import math
-import signal
 import weakref
 
 import numpy as np
@@ -111,6 +109,13 @@ def test_chain_matches_brute_force_oracle(seed):
         assert np.allclose(cm.table, oracle, atol=1e-9, equal_nan=False)
 
 
+def dense_chain_search(dist, c, **kwargs):
+    """The reference search: scipy's undirected Dijkstra over the dense table's
+    entries within c, zeros kept as edges."""
+    weights = csgraph_from_dense(np.where(dist <= c, dist, np.inf), null_value=np.inf)
+    return shortest_path(weights, method="D", directed=False, **kwargs)
+
+
 def jittered_grid_space(n, seed):
     """One uniform point in each of n unit cells of a 3:1 strip, and point 1
     a duplicate of point 0 (a zero-length step); the threshold graph at a
@@ -127,11 +132,8 @@ def jittered_grid_space(n, seed):
 def test_the_masked_chain_graph_is_the_dense_threshold_graph(n, c):
     # c = 1e4 leaves out no entry
     space = jittered_grid_space(n, seed=n)
-    weights = np.where(space.dist <= c, space.dist, np.inf)
-    table, pred = shortest_path(csgraph_from_dense(weights, null_value=np.inf), method="D",
-                                directed=False, return_predecessors=True)
     cm = cg.chain_metric(space, c)
-    assert cm.table.tobytes() == table.tobytes() and cm.predecessors.tobytes() == pred.tobytes()
+    assert cm.table.tobytes() == dense_chain_search(space.dist, c).tobytes()
     assert cm.chain_between(0, 1) == [0, 1]
     # the reference skeleton masks the diagonal out of its adjacency
     graph, _ = cg.build_geodesic_graph(space, c)
@@ -141,8 +143,8 @@ def test_the_masked_chain_graph_is_the_dense_threshold_graph(n, c):
     hop = shortest_path(adjacency.astype(np.int8), method="D", unweighted=True, directed=False)
     assert graph.vertices.members.tolist() == members.tolist()
     assert graph.hop.tobytes() == hop.tobytes()
-    assert graph.edges == [(int(members[i]), int(members[j]))
-                           for i, j in np.argwhere(np.triu(adjacency, k=1))]
+    assert graph.edges == tuple((int(members[i]), int(members[j]))
+                                for i, j in np.argwhere(np.triu(adjacency, k=1)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -162,12 +164,48 @@ def test_the_directed_chain_search_is_the_undirected_one(seed, n, symmetric, edg
         np.fill_diagonal(dist, 0.0)
     nonzero = dist[dist > 0]
     c = nonzero.min() / 2.0 if edgeless and nonzero.size else float(gen.integers(1, 9)) / 2.0
-    weights = np.where(dist <= c, dist, np.inf)
-    table, pred = shortest_path(csgraph_from_dense(weights, null_value=np.inf), method="D",
-                                directed=False, return_predecessors=True)
     cm = cg.chain_metric(cg.FiniteMetricSpace(dist), c)
-    assert cm.table.tobytes() == table.tobytes()
-    assert cm.predecessors.tobytes() == pred.tobytes()
+    assert cm.table.tobytes() == dense_chain_search(dist, c).tobytes()
+
+
+def _reference_walk(pred, x, y):
+    """The chain to y in row x of scipy's all-pairs predecessor table."""
+    path = [y]
+    while path[-1] != x:
+        path.append(int(pred[x, path[-1]]))
+    return path[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 14), cloud=st.booleans(),
+       c=st.sampled_from([0.5, 1.0, 1.5, 2.5, 6.0]))
+@example(seed=0, n=6, cloud=True, c=0.5)  # disconnected, a duplicate still joined
+@example(seed=0, n=0, cloud=False, c=1.0)
+def test_a_witness_chain_is_the_walk_of_the_all_pairs_search(seed, n, cloud, c):
+    # the witness chain once walked a stored n x n predecessor table
+    gen = np.random.default_rng(seed)
+    if cloud:
+        pts = gen.uniform(0.0, 4.0, size=(n, 2))
+        if n > 1:
+            pts[gen.integers(1, n, size=n // 3)] = pts[0]
+        space = cg.from_point_cloud(pts)
+    else:
+        space = cg.FiniteMetricSpace(planted_table(gen, n))
+    _, pred = dense_chain_search(space.dist, c, return_predecessors=True)
+    cm = cg.chain_metric(space, c)
+    for x in range(n):
+        for y in range(n):
+            chain = cm.chain_between(x, y)
+            if math.isinf(cm.table[x, y]):
+                assert chain is None
+                continue
+            assert chain[0] == x and chain[-1] == y
+            total = 0.0
+            for a, b in zip(chain, chain[1:]):
+                assert space.d(a, b) <= c
+                total += space.d(a, b)
+            assert total == cm.table[x, y]
+            assert chain == _reference_walk(pred, x, y)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 256])
@@ -187,12 +225,16 @@ def test_the_threshold_graph_is_the_dense_one_at_any_block_size(block_rows, monk
 
 
 def test_the_chain_metric_holds_its_sparse_graph_beside_its_tables():
-    # the masked build held an n x n mask, and the undirected search a transposed graph
+    # the masked build held an n x n mask, the undirected search a transposed graph, and
+    # the chain metric an n x n predecessor table beside its table
     space = jittered_grid_space(1000, seed=1)
     chains, peak = traced_peak(cg.chain_metric, space, 6.0)
     assert chains.is_connected()
-    extra = peak - chains.table.nbytes - chains.predecessors.nbytes
-    assert extra < 0.2 * space.dist.nbytes
+    assert peak - chains.table.nbytes < 0.2 * space.dist.nbytes
+    held = [f.name for f in dataclasses.fields(chains)
+            if isinstance(getattr(chains, f.name), np.ndarray)]
+    assert held == ["table"] and chains.space is space
+    assert not np.shares_memory(chains.table, space.dist)
 
 
 def test_convexity_constants_hold_row_blocks_not_tables():
@@ -282,7 +324,7 @@ def test_skeleton_single_point():
         single, 1.0, constants=cg.ConvexityConstants(1.0, 0.0, 1.0)
     )
     assert len(graph.vertices) == 1
-    assert graph.edges == []
+    assert graph.edges == ()
 
 
 def test_skeleton_on_l1_grid():
@@ -462,13 +504,14 @@ def test_the_skeleton_reuses_a_held_chain_metric(line10, monkeypatch):
     calls, shortest_path = [], csgraph.shortest_path
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("return_predecessors", False))
+        calls.append("indices" not in kwargs)  # an all-pairs search
         return shortest_path(*args, **kwargs)
 
     monkeypatch.setattr(csgraph, "shortest_path", counting)
     chains = cg.chain_metric(line10, 1.0)
     graph, report = cg.build_geodesic_graph(line10, 1.0)
-    assert calls.count(True) == 1
+    assert calls == [True, True]  # the chain table and the skeleton's hop table
+    assert chains.chain_between(0, 3) == [0, 1, 2, 3] and calls[2:] == [False]
     assert cg.chain_metric(line10, 1.0) is chains
     assert report["constants"] == {"a": 1.0, "b": 0.0, "c": 1.0}
 
@@ -497,7 +540,7 @@ def test_a_rewritten_table_is_never_served_a_stale_chain_metric():
         cg.ConvexityConstants(a=1.0, b=0.0, c=1.0)]
 
 
-@pytest.mark.parametrize("name", ["table", "predecessors"])
+@pytest.mark.parametrize("name", ["table"])
 def test_a_rewritten_chain_metric_is_never_served(name):
     # the held chain table rewritten through its owner to the ambient distances certified
     # a = 1.0 at b = 0; now no array on its base chain can be made writable
@@ -512,37 +555,6 @@ def test_a_rewritten_chain_metric_is_never_served(name):
     assert held.chain_between(0, 2) == [0, 1, 2]
 
 
-@contextlib.contextmanager
-def _deadline(seconds: float):
-    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_chain_between_refuses_predecessors_that_leave_the_space_or_cycle():
-    # predecessors[0, 3] = -3 gave the chain [0, -3, 3], a wrapped id; a cycle 3 -> 2 -> 3
-    # between predecessors[0, 3] and predecessors[0, 2] never returned
-    own = cg.chain_metric(cg.line_space(4), 1.0)
-    wrapped = own.predecessors.copy()
-    wrapped[0, 3] = -3
-    with pytest.raises(UnknownPoint, match="point id -3 is not in a space of 4 points"):
-        cg.ChainMetric(1.0, own.table, wrapped).chain_between(0, 3)
-    cycling = own.predecessors.copy()
-    cycling[0, 3], cycling[0, 2] = 2, 3
-    with _deadline(2.0), pytest.raises(ValueError, match=r"cycle through \[3, 2, 3\] "
-                                                          r"without reaching 0"):
-        cg.ChainMetric(1.0, own.table, cycling).chain_between(0, 3)
-    assert own.chain_between(0, 3) == [0, 1, 2, 3]
-
-
 def test_convexity_constants_refuses_the_chains_of_a_same_size_space():
     # A's chain(0, 2) = 2 > 1 * sqrt(2), yet B's table certified a = 1
     a_space = cg.from_point_cloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
@@ -550,7 +562,7 @@ def test_convexity_constants_refuses_the_chains_of_a_same_size_space():
     with pytest.raises(ValueError, match=r"for this space at scale 1\.0.*got another"):
         cg.convexity_constants(a_space, 1.0, b_grid=[0.0], chains=cg.chain_metric(b_space, 1.0))
     own = cg.chain_metric(a_space, 1.0)
-    hand_built = cg.ChainMetric(1.0, own.table, own.predecessors)
+    hand_built = cg.ChainMetric(1.0, own.table, a_space)
     with pytest.raises(ValueError, match="got another"):
         cg.convexity_constants(a_space, 1.0, b_grid=[0.0], chains=hand_built)
     frontier = cg.convexity_constants(a_space, 1.0, b_grid=[0.0], chains=own)

@@ -342,7 +342,7 @@ def test_decay_profile_refuses_a_field_of_another_function_or_space(line10):
             cg.decay_profile(line10, f, 1.0, 0, [0, 5], field_cache=field)
     own = cg.expansion(line10, f, 1.0)
     profile = cg.decay_profile(line10, f, 1.0, 0, [0, 5], field_cache=own)
-    assert profile.samples == [(0.0, 0.0), (5.0, 0.0)] and profile.is_numerically_higson(0.5)
+    assert profile.samples == ((0.0, 0.0), (5.0, 0.0)) and profile.is_numerically_higson(0.5)
     # its source is no field, so the benchmark's fingerprint and repr do not change
     assert [field.name for field in dataclasses.fields(own)] == ["r", "values"]
 
@@ -366,8 +366,8 @@ def test_decay_profile_refuses_a_field_of_a_function_rewritten_since(line10):
     with pytest.raises(ValueError, match="WRITEABLE"):
         f.values.setflags(write=True)
     assert_sealed(f.values)
-    assert cg.decay_profile(line10, f, 1.0, 0, [0, 5], field_cache=field).samples == [
-        (0.0, 1.0), (5.0, 1.0)]
+    assert cg.decay_profile(line10, f, 1.0, 0, [0, 5], field_cache=field).samples == (
+        (0.0, 1.0), (5.0, 1.0))
 
 
 def test_a_second_expansion_call_returns_the_held_field(line10):
@@ -393,7 +393,7 @@ def test_a_rewritten_table_is_never_served_a_stale_field():
     assert cg.expansion(space, f, 1.0) is held and cg.expansion(space, f, 2.0) is held_wide
     profile = cg.decay_profile(space, f, 2.0, 0, [0, 0.5], field_cache=held_wide)
     assert profile == cg.decay_profile(cg.line_space(10), f, 2.0, 0, [0, 0.5])
-    assert profile.samples == [(0.0, 2.0), (0.5, 2.0)]
+    assert profile.samples == ((0.0, 2.0), (0.5, 2.0))
 
 
 def test_a_held_field_cannot_outlive_its_table():

@@ -773,9 +773,8 @@ def _held_arrays():
                             lambda r: [r.values]),
         "ExpansionField": (lambda v: cg.ExpansionField(1.0, v), [np.array([0.5, 2.0])],
                            lambda r: [r.values]),
-        "ChainMetric": (lambda t, p: cg.ChainMetric(1.0, t, p),
-                        [chains.table, chains.predecessors],
-                        lambda r: [r.table, r.predecessors]),
+        "ChainMetric": (lambda t: cg.ChainMetric(1.0, t, line4), [chains.table],
+                        lambda r: [r.table]),
         "GeodesicGraph": (lambda hop: dataclasses.replace(graph, hop=hop), [graph.hop],
                           lambda r: [r.hop]),
     }
@@ -806,12 +805,35 @@ def test_a_read_only_array_is_held_as_it_is():
     assert not table.flags.writeable
     assert cg.FiniteMetricSpace(table).dist is table
     chains = cg.chain_metric(cg.line_space(5), 1.0)
-    assert cg.ChainMetric(1.0, chains.table, chains.predecessors).table is chains.table
+    assert cg.ChainMetric(1.0, chains.table, chains.space).table is chains.table
     # another dtype is a copy of the record's own
     members = np.array([0, 3], dtype=np.int32)
     members.setflags(write=False)
     held = cg.Net(members, 2.0, 3.0, 1.0).members
     assert held.dtype == np.intp and held is not members and not held.flags.writeable
+
+
+def test_a_record_list_is_a_tuple_that_keeps_its_verdict():
+    # p.samples[-1] = (5.0, 0.0) turned a decay verdict from False to True, and
+    # g.edges.clear() emptied the skeleton's DOT edges
+    line = cg.line_space(10)
+    profile = cg.decay_profile(line, cg.BoundedFunction(np.arange(10.0)), 1.0, 0, [0, 5])
+    graph = cg.build_geodesic_graph(line, 2.0)[0]
+    report = cg.measure_distortion(line, line, [0, 4, 8], [0, 4, 8])
+    dot, before = graph.to_dot(), [tuple(pair) for pair in report.profile]
+    with pytest.raises(TypeError):
+        profile.samples[-1] = (5.0, 0.0)
+    with pytest.raises(AttributeError):
+        graph.edges.clear()
+    with pytest.raises(TypeError):
+        report.profile[0] = (0.0, 0.0)
+    assert not profile.is_numerically_higson(0.5) and graph.to_dot() == dot
+    assert list(report.profile) == before and report.min_C == 1.0
+    # a record built from lists holds tuples of tuples
+    direct = cg.DecayProfile(1.0, 0, [[0.0, 2.0], [2.0, 0.5]])
+    with pytest.raises(TypeError):
+        direct.samples[-1][1] = 0.0
+    assert direct.samples == ((0.0, 2.0), (2.0, 0.5)) and direct.final_level() == 0.5
 
 
 def test_a_partition_keeps_its_ids_for_the_check():
@@ -840,8 +862,8 @@ def test_the_builders_hand_their_tables_over(monkeypatch):
     cg.line_space(6)
     cg.from_point_cloud(np.arange(12.0).reshape(6, 2))
     cg.from_distance_matrix(np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
-    cg.chain_metric(cg.line_space(6), 1.0)  # a line, then the table and predecessors
-    assert copied == [False] * 6
+    cg.chain_metric(cg.line_space(6), 1.0)  # a line, then the chain table
+    assert copied == [False] * 5
 
 
 def test_a_read_only_view_of_a_writable_array_is_copied():
@@ -864,8 +886,7 @@ def test_a_read_only_view_of_a_writable_array_is_copied():
 def test_the_chain_metric_hands_over_its_base_too():
     # shortest_path returns views of writable arrays
     chains = cg.chain_metric(cg.line_space(5), 1.0)
-    for held in (chains.table, chains.predecessors):
-        assert_sealed(held)
+    assert_sealed(chains.table)
 
 
 @pytest.mark.parametrize("name", sorted(_held_arrays()))
