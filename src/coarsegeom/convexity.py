@@ -4,13 +4,11 @@ A space is quasi-convex at scale c with constants (a, b) if every pair
 is joined by a chain of steps <= c whose total length is <= a*d + b.
 Chains are realized as shortest paths in the threshold graph whose
 edges join points at distance <= c, weighted by the ambient distance.
-``space.threshold_graph`` builds it from row blocks, with no n x n mask,
-and weights each pair by min(d(x, y), d(y, x)): the entry itself on a
-symmetric table, and on one built directly that is not symmetric, a step
-either way within c, as an undirected search of the entries would take.
-The graph holds both directions of every edge, so one directed search
-relaxes each edge once. The skeleton construction then puts unit edges
-between net points at distance <= 3c and certifies both comparison bounds
+``space.threshold_graph`` builds it from row blocks, with no n x n mask.
+The table is symmetric, so the graph holds both directions of every edge
+and one directed search relaxes each edge once. The skeleton construction
+then puts unit edges between net points at distance <= 3c and certifies
+both comparison bounds
 
     hop(x, y) <= ((a*c + b) / c^2) * d(x, y)
     d(x, y)   <= 3c * hop(x, y)

@@ -31,8 +31,8 @@ class NonPositiveScale(ValueError):
 
 
 # --- distance table validation ---
-# the entry errors of ``space.check_entries`` are also ValueErrors, the
-# class a ``FiniteMetricSpace`` documents for a table it refuses
+# the errors of ``space.check_entries`` and ``space.check_symmetry`` are also
+# ValueErrors, the class a ``FiniteMetricSpace`` documents for a table it refuses
 
 class NonFiniteEntry(CoarseGeomError, ValueError):
     pass
@@ -46,7 +46,7 @@ class DiagonalError(CoarseGeomError, ValueError):
     pass
 
 
-class AsymmetryError(CoarseGeomError):
+class AsymmetryError(CoarseGeomError, ValueError):
     pass
 
 

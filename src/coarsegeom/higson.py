@@ -178,12 +178,12 @@ def bump_function(
                 "centers must be ordered by nondecreasing distance from the base"
             )
 
-    table = space.block(slice(None), ctr)
-    membership = table <= rad[None, :]
-    owners_per_point = membership.sum(axis=1)
+    table = space.block(ctr)
+    membership = table <= rad[:, None]
+    owners_per_point = membership.sum(axis=0)
     if (owners_per_point > 1).any():
         x = int(np.argmax(owners_per_point > 1))
-        m, n = np.flatnonzero(membership[x])[:2]
+        m, n = np.flatnonzero(membership[:, x])[:2]
         raise OverlappingBalls(
             f"balls {m} and {n} both contain point {x}",
             pair=[int(m), int(n)],
@@ -192,9 +192,9 @@ def bump_function(
 
     values = np.zeros(space.n)
     for n_idx in range(ctr.size):
-        ball = membership[:, n_idx]
+        ball = membership[n_idx]
         sign = -1.0 if n_idx % 2 else 1.0
-        values[ball] = sign * (rad[n_idx] - table[ball, n_idx]) / rad[n_idx]
+        values[ball] = sign * (rad[n_idx] - table[n_idx, ball]) / rad[n_idx]
     return BoundedFunction(values)
 
 

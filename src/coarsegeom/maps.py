@@ -441,7 +441,7 @@ def closeness_gap(
     r = check_scale(r, "r")
     a, b = (check_point_ids(dom, h.domain_net.members) for h in (f, g))
     d_nets = dom.block(a, b)
-    # the table is symmetric, so columns give the reverse density
+    # FiniteMetricSpace checks exact symmetry, so columns give the reverse density
     if exceeds(d_nets.min(axis=1).max(), r) or exceeds(d_nets.min(axis=0).max(), r):
         return None
     d_images = rng.block(check_point_ids(rng, f.image), check_point_ids(rng, g.image))

@@ -1,10 +1,10 @@
 """Finite pseudo-metric spaces as validated distance tables.
 
 A space is an ``n x n`` symmetric table of nonnegative float64 distances
-with zero diagonal and the triangle inequality, validated either at
-ingestion time (:func:`from_distance_matrix`) or guaranteed by
-construction (:func:`from_point_cloud`). Distinct points at distance 0
-are allowed.
+with zero diagonal, checked on every construction, and the triangle
+inequality, validated at ingestion time (:func:`from_distance_matrix`) or
+guaranteed by construction (:func:`from_point_cloud`). Distinct points at
+distance 0 are allowed.
 """
 
 from __future__ import annotations
@@ -219,10 +219,10 @@ def check_bounds(
 class FiniteMetricSpace(Record):
     """A finite pseudo-metric space backed by a full distance table.
 
-    Construction refuses a table that is not square, holds a nan, an
-    infinity or a negative entry, or has a nonzero diagonal
-    (:func:`check_entries` at tolerance 0); the symmetry and triangle
-    checks are :func:`from_distance_matrix`'s.
+    Construction refuses a table that is not square, holds a nan, an infinity or a
+    negative entry, has a nonzero diagonal (:func:`check_entries`) or is not exactly
+    symmetric (:func:`check_symmetry`), both at tolerance 0, with a ``ValueError``, so a
+    read may take d(y, x) from row x; the triangle check is :func:`from_distance_matrix`'s.
 
     ``_memo`` holds the results :meth:`memo` serves, weakly. It is no
     field: ``==``, ``repr`` and every walk of the fields leave it out."""
@@ -233,6 +233,7 @@ class FiniteMetricSpace(Record):
     def __post_init__(self):
         object.__setattr__(self, "dist", frozen(self.dist, np.float64))
         check_entries(self.dist, 0.0)
+        check_symmetry(self.dist, 0.0)
         object.__setattr__(self, "_memo", weakref.WeakValueDictionary())
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
@@ -326,6 +327,22 @@ def check_entries(arr: np.ndarray, tolerance: float) -> tuple[float, float]:
                         point=i, value=float(arr[i, i]))
 
 
+def check_symmetry(arr: np.ndarray, tolerance: float) -> float:
+    """The one symmetry rule, for a table that passed :func:`check_entries`: 0.0 when each
+    ``BLOCK_ROWS`` tile equals its mirror, decided with no n x n temporary; else its worst
+    |d(x, y) - d(y, x)|, or beyond ``tolerance`` ``AsymmetryError`` naming the first
+    row-major pair attaining it."""
+    tiles = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(arr), BLOCK_ROWS)]
+    if all(np.array_equal(arr[r, c], arr[c, r].T)
+           for k, r in enumerate(tiles) for c in tiles[k:]):
+        return 0.0
+    worst, (i, j) = max_over_rows(len(arr), lambda rows: np.abs(arr[rows] - arr.T[rows]))
+    if exceeds(worst, 0.0, tolerance):
+        raise AsymmetryError(f"d({i},{j}) = {arr[i, j]} but d({j},{i}) = {arr[j, i]}",
+                             pair=[i, j], values=[float(arr[i, j]), float(arr[j, i])])
+    return worst
+
+
 def max_entry(keys: Iterable, block: Callable[[object], np.ndarray]) -> tuple[float, tuple]:
     """Largest entry of the 2-D arrays ``block(key)`` over ``keys`` and
     ``(key, i, j)`` of the first entry attaining it (keys in order, then
@@ -349,19 +366,16 @@ def max_over_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[float, 
 
 
 def threshold_graph(space: FiniteMetricSpace, c: float):
-    """The CSR graph of the pairs x, y with min(d(x, y), d(y, x)) <= c, weighted by that
-    minimum, built from ``BLOCK_ROWS``-row blocks with no n x n temporary: the one threshold
-    graph. A zero entry (the diagonal, a duplicate point) stays an edge of length 0, and
-    each row's columns ascend. The minimum is the entry itself on a symmetric table; on one
-    that is not, it joins x and y when either direction is within c, so a directed search
-    of the graph is the undirected search of the table's entries within c."""
+    """The CSR graph of the pairs x, y with d(x, y) <= c, weighted by d(x, y), built from
+    ``BLOCK_ROWS``-row blocks with no n x n temporary: the one threshold graph. A zero entry
+    (the diagonal, a duplicate point) stays an edge of length 0, and each row's columns
+    ascend. The table is symmetric, so the graph holds both directions of every edge and a
+    directed search of it is the undirected one."""
     from scipy.sparse import csr_matrix
 
-    ids = np.arange(space.n)
     weights, cols, degrees = [np.empty(0)], [np.empty(0, np.int32)], [np.zeros(1, np.intp)]
     for lo in range(0, space.n, BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        w = np.minimum(space.block(rows), space.block(slice(None), ids[rows]).T)
+        w = space.block(slice(lo, lo + BLOCK_ROWS))
         keep = w <= c
         weights.append(w[keep])
         cols.append(np.nonzero(keep)[1].astype(np.int32))  # scipy's index type: no copy
@@ -393,8 +407,8 @@ def from_distance_matrix(
 ) -> tuple[FiniteMetricSpace, MetricValidationReport]:
     """Validate a raw distance table and build a space from it.
 
-    Checks run in order: the cheap axioms (:func:`check_entries`),
-    symmetry, triangle inequality. Violations beyond ``tolerance``
+    Checks run in order: the cheap axioms (:func:`check_entries`), symmetry
+    (:func:`check_symmetry`), triangle inequality. Violations beyond ``tolerance``
     raise, naming an offending pair or triple; deviations within
     tolerance are repaired (entries clamped, table symmetrized as
     ``t / 2 + t.T / 2``, which no entry can overflow; diagonal zeroed).
@@ -403,14 +417,7 @@ def from_distance_matrix(
     tolerance = check_scale(tolerance, "tolerance")
     arr = np.asarray(table, dtype=np.float64)
     worst_negative, worst_diagonal = check_entries(arr, tolerance)
-
-    worst_asymmetry, (i, j) = max_over_rows(len(arr), lambda rows: np.abs(arr[rows] - arr.T[rows]))
-    if exceeds(worst_asymmetry, 0.0, tolerance):
-        raise AsymmetryError(
-            f"d({i},{j}) = {arr[i, j]} but d({j},{i}) = {arr[j, i]}",
-            pair=[i, j],
-            values=[float(arr[i, j]), float(arr[j, i])],
-        )
+    worst_asymmetry = check_symmetry(arr, tolerance)
 
     repaired = np.clip(arr / 2.0 + arr.T / 2.0, 0.0, None)
     np.fill_diagonal(repaired, 0.0)
@@ -427,16 +434,10 @@ def from_distance_matrix(
         )
 
     report = MetricValidationReport(
-        worst_asymmetry=max(worst_asymmetry, 0.0),
-        worst_triangle_defect=max(defect, 0.0),
-        worst_negative=worst_negative,
-        worst_diagonal=worst_diagonal,
-        tolerance=tolerance,
-    )
-    space = FiniteMetricSpace(
-        repaired, labels=tuple(labels) if labels is not None else None
-    )
-    return space, report
+        worst_asymmetry=worst_asymmetry, worst_triangle_defect=max(defect, 0.0),
+        worst_negative=worst_negative, worst_diagonal=worst_diagonal, tolerance=tolerance)
+    labels = None if labels is None else tuple(labels)
+    return FiniteMetricSpace(repaired, labels=labels), report
 
 
 def from_point_cloud(
@@ -492,16 +493,16 @@ def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:
 def nearest_members(space: FiniteMetricSpace,
                     members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Each point's nearest member (ties to the lowest id; members map to
-    themselves) and its distance to it, from one n x m gather."""
+    themselves) and its distance to it, from the members' rows."""
     idx = check_point_ids(space, members)
     if idx.size == 0:
         raise TooFewPoints("cover radius of an empty set", size=0)
     by_id = np.sort(idx)
-    table = space.block(slice(None), by_id)
-    col = np.argmin(table, axis=1)
-    nearest = by_id[col]
+    table = space.block(by_id)
+    row = np.argmin(table, axis=0)
+    nearest = by_id[row]
     nearest[idx] = idx
-    return nearest, table[np.arange(space.n), col]
+    return nearest, table[row, np.arange(space.n)]
 
 
 def cover_witness(space: FiniteMetricSpace, members: Sequence[int]) -> tuple[float, int]:

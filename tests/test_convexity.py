@@ -10,10 +10,12 @@ from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 import coarsegeom as cg
 from coarsegeom.errors import (
+    AsymmetryError,
     CertificateError,
     GraphDisconnected,
     NonPositiveScale,
     NotQuasiConvexAtScale,
+    OverlappingBalls,
     UnknownPoint,
 )
 from conftest import (
@@ -154,14 +156,19 @@ def test_the_masked_chain_graph_is_the_dense_threshold_graph(n, c):
 @example(seed=0, n=1, symmetric=False, edgeless=False)
 @example(seed=1, n=12, symmetric=False, edgeless=True)
 def test_the_directed_chain_search_is_the_undirected_one(seed, n, symmetric, edgeless):
-    # a symmetric integer table with ties and duplicate points, or a directly built
-    # table that is not symmetric; an edgeless step bound lies below every nonzero entry
+    # a symmetric integer table with ties and duplicate points, or a table that is not
+    # symmetric, which was searched as its entries either way within c and is now refused;
+    # an edgeless step bound lies below every nonzero entry
     gen = np.random.default_rng(seed)
     if symmetric:
         dist = planted_table(gen, n)
     else:
         dist = gen.integers(0, 6, size=(n, n)).astype(float)
         np.fill_diagonal(dist, 0.0)
+    if (dist != dist.T).any():
+        with pytest.raises(AsymmetryError):
+            cg.FiniteMetricSpace(dist)
+        return
     nonzero = dist[dist > 0]
     c = nonzero.min() / 2.0 if edgeless and nonzero.size else float(gen.integers(1, 9)) / 2.0
     cm = cg.chain_metric(cg.FiniteMetricSpace(dist), c)
@@ -210,18 +217,40 @@ def test_a_witness_chain_is_the_walk_of_the_all_pairs_search(seed, n, cloud, c):
 
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 256])
 def test_the_threshold_graph_is_the_dense_one_at_any_block_size(block_rows, monkeypatch):
-    # both directions of each pair within c, weighted by the smaller, zeros kept as edges
+    # each pair within c, zeros kept as edges, and the nearest members and tents, all read
+    # from table rows, equal their dense references on a table with ties and duplicates
     gen = np.random.default_rng(block_rows)
-    dist = gen.integers(0, 6, size=(20, 20)).astype(float)
-    np.fill_diagonal(dist, 0.0)
+    dist = planted_table(gen, 20)
     monkeypatch.setattr(cg.space, "BLOCK_ROWS", block_rows)
-    graph = cg.space.threshold_graph(cg.FiniteMetricSpace(dist), 2.0)
-    low = np.minimum(dist, dist.T)
-    dense = csgraph_from_dense(np.where(low <= 2.0, low, np.inf), null_value=np.inf)
+    space = cg.FiniteMetricSpace(dist)
+    graph = cg.space.threshold_graph(space, 2.0)
+    dense = csgraph_from_dense(np.where(dist <= 2.0, dist, np.inf), null_value=np.inf)
     assert graph.shape == (20, 20)
     for name in ("indptr", "indices", "data"):
         assert getattr(graph, name).tolist() == getattr(dense, name).tolist()
     assert graph.indices.dtype == np.int32 and graph.data.dtype == np.float64
+
+    members = gen.integers(0, 20, size=6).tolist()  # may repeat an id
+    nearest, gaps = cg.space.nearest_members(space, members)
+    assert nearest.tolist() == [
+        x if x in members else min(members, key=lambda m: (dist[x, m], m)) for x in range(20)]
+    assert gaps.tolist() == [min(dist[x, m] for m in members) for x in range(20)]
+
+    for radius in (0.5, 1.0, 2.0):  # small balls are disjoint, larger ones may overlap
+        centers = sorted(set(gen.integers(0, 20, size=3).tolist()))
+        balls = dist[:, centers] <= radius
+        tents = np.where(balls, (radius - dist[:, centers]) / radius, 0.0)
+        tents *= np.where(np.arange(len(centers)) % 2, -1.0, 1.0)
+        owned = balls.sum(axis=1)
+        if (owned > 1).any():
+            x = int(np.argmax(owned > 1))
+            with pytest.raises(OverlappingBalls) as err:
+                cg.bump_function(space, centers, [radius] * len(centers))
+            assert err.value.payload == {"pair": np.flatnonzero(balls[x])[:2].tolist(),
+                                         "witness": x}
+        else:
+            values = cg.bump_function(space, centers, [radius] * len(centers)).values
+            assert values.real.tolist() == tents.sum(axis=1).tolist()
 
 
 def test_the_chain_metric_holds_its_sparse_graph_beside_its_tables():

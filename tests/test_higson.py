@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import coarsegeom as cg
 from coarsegeom.errors import (
+    AsymmetryError,
     EmptyTail,
     InvalidPartition,
     NonPositiveScale,
@@ -448,6 +449,10 @@ def test_function_shapes_are_refused_by_name(line10, call, message):
 
 
 def test_a_tent_reads_the_distances_its_ball_was_drawn_from():
-    # point 0 is in the ball by d(0, 1) = 1; the row d(1, 0) = 2 gave it the tent -1/3
-    space = cg.FiniteMetricSpace([[0.0, 1.0], [2.0, 0.0]])
+    # point 0 was in the ball by d(0, 1) = 1, and the row d(1, 0) = 2 gave it the tent
+    # -1/3; that table is now refused, and both the ball and the tent read row 1
+    with pytest.raises(AsymmetryError) as err:
+        cg.FiniteMetricSpace([[0.0, 1.0], [2.0, 0.0]])
+    assert err.value.payload["pair"] == [0, 1]
+    space = cg.FiniteMetricSpace([[0.0, 1.0], [1.0, 0.0]])
     assert cg.bump_function(space, [1], [1.5]).values.tolist() == [(1.5 - 1.0) / 1.5, 1.0]

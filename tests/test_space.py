@@ -127,6 +127,85 @@ def test_asymmetry_within_tolerance_symmetrized():
     assert report.worst_asymmetry <= 1e-9
 
 
+def _old_asymmetry_scan(table):
+    """The worst |d - d^T| and its first row-major pair, as from_distance_matrix found
+    them before check_symmetry."""
+    gap = np.abs(table - table.T)
+    i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return float(gap[i, j]), [int(i), int(j)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), integer=st.booleans(),
+       kind=st.sampled_from(["euclidean", "manhattan", "chebyshev"]))
+def test_every_builder_hands_the_constructor_an_exactly_symmetric_table(seed, n, integer, kind):
+    # the constructor refuses any other table, so a builder must pass its check at 0
+    gen = np.random.default_rng(seed)
+    pts = gen.integers(-3, 4, size=(n, 2)) if integer else gen.uniform(-1.0, 1.0, (n, 2))
+    if n >= 3:
+        pts[gen.integers(n)] = pts[gen.integers(n)]  # a duplicate point, or a no-op
+    line = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    near = line + np.triu(gen.uniform(-4e-10, 4e-10, (n, n)), k=1)  # within the tolerance
+    repaired, report = cg.from_distance_matrix(near)
+    # the repair symmetrizes before the constructor checks; the report keeps the old scan
+    assert report.worst_asymmetry == (_old_asymmetry_scan(near)[0] if n else 0.0)
+    for space in (cg.from_point_cloud(pts, kind), cg.line_space(n), repaired):
+        assert space_module.check_symmetry(space.dist, 0.0) == 0.0
+        assert space.dist.tobytes() == space.dist.T.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 256])
+@pytest.mark.parametrize("pair", [(0, 1), (5, 2), (9, 8), (3, 8)])
+def test_a_one_ulp_asymmetry_is_refused_by_the_constructor(block_rows, pair, monkeypatch):
+    # FiniteMetricSpace checked no symmetry: FiniteMetricSpace([[0, 1], [2, 0]]) was built
+    monkeypatch.setattr(space_module, "BLOCK_ROWS", block_rows)
+    table = cg.line_space(10).dist.copy()
+    table[pair] = np.nextafter(table[pair], np.inf)
+    with pytest.raises(ValueError) as err:
+        cg.FiniteMetricSpace(table)
+    first = sorted(pair)
+    assert type(err.value) is AsymmetryError
+    assert err.value.payload == {"pair": first, "values": [table[tuple(first)],
+                                                           table[tuple(first[::-1])]]}
+    assert _old_asymmetry_scan(table)[1] == first
+    with pytest.raises(AsymmetryError, match=r"d\(0,1\) = 1.0 but d\(1,0\) = 2.0"):
+        cg.FiniteMetricSpace([[0.0, 1.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 256])
+def test_from_distance_matrix_refuses_asymmetry_only_beyond_its_tolerance(block_rows,
+                                                                         monkeypatch):
+    monkeypatch.setattr(space_module, "BLOCK_ROWS", block_rows)
+    table = cg.line_space(12).dist.copy()
+    table[7, 3] += 3e-10
+    table[2, 9] -= 5e-10
+    worst, first = _old_asymmetry_scan(table)
+    assert first == [2, 9]
+    with pytest.raises(AsymmetryError) as err:
+        cg.from_distance_matrix(table, tolerance=4e-10)
+    assert err.value.payload == {"pair": first, "values": [table[2, 9], table[9, 2]]}
+    with pytest.raises(AsymmetryError):  # the constructor's tolerance is 0
+        cg.FiniteMetricSpace(table)
+    space, report = cg.from_distance_matrix(table, tolerance=6e-10)
+    assert report.worst_asymmetry == worst
+    assert space.dist.tobytes() == space.dist.T.tobytes()
+
+
+def test_a_chain_table_is_sealed_but_not_symmetric():
+    # a sealed table is not a checked one: the chain totals differ from their mirror in
+    # the last ulp, so the constructor refuses them and from_distance_matrix repairs them
+    pts = np.random.default_rng(1).uniform(0.0, 10.0, size=(50, 2))
+    chains = cg.chain_metric(cg.from_point_cloud(pts), 2.0)
+    assert chains.is_connected()
+    with pytest.raises(AsymmetryError) as err:
+        cg.FiniteMetricSpace(chains.table)
+    worst, first = _old_asymmetry_scan(chains.table)
+    assert err.value.payload["pair"] == first and 0.0 < worst < 1e-14
+    space, report = cg.from_distance_matrix(chains.table)
+    assert report.verdict and report.worst_asymmetry == worst
+    assert space.dist.tobytes() == space.dist.T.tobytes()
+
+
 @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-3])
 def test_tolerance_must_be_finite_nonnegative(tolerance):
     # the table breaks the triangle inequality; nan and inf would let it through
@@ -872,7 +951,7 @@ def test_a_read_only_view_of_a_writable_array_is_copied():
     view = table.view()
     view.setflags(write=False)
     space = cg.FiniteMetricSpace(view)
-    table[0, 1] = 7.0
+    table[0, 1] = table[1, 0] = 7.0
     assert space.d(0, 1) == 1.0
     assert space.dist is not view and table.flags.writeable
     # a caller's read-only owner, and a view of it, can be made writable again: both copied
