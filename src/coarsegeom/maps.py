@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,9 +30,11 @@ from .errors import (
     NotBijective,
     NotDense,
     SizeMismatch,
+    TooFewPoints,
     TooLarge,
 )
 from .nets import Net, _as_order, greedy_separated_net, net_from_members
+from . import space as tables
 from .space import (
     FiniteMetricSpace,
     Record,
@@ -42,7 +44,6 @@ from .space import (
     check_scale,
     exceeds,
     frozen,
-    max_over_rows,
     nearest_members,
     plain,
     within,
@@ -75,6 +76,45 @@ def _net_image(rng: FiniteMetricSpace, range_net: Net, image: Sequence[int]) -> 
     return img
 
 
+def _pulled_back_max(
+    dom: FiniteMetricSpace,
+    rng: FiniteMetricSpace,
+    m: np.ndarray,
+    reduce: np.ufunc,
+    expr: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[float, tuple[int, int]]:
+    """Max over pairs of ``expr(d rows, d' rows at m)`` for the pair (x, y), and the
+    first pair attaining it in row-major order, or ``(-inf, (0, 0))`` with no points:
+    the one pulled-back scan. ``expr`` may write into either block.
+
+    Rows are taken in ``BLOCK_ROWS`` blocks of the points sorted by image, and each run
+    of one image is reduced to one domain row by ``reduce``: ``np.minimum`` when the
+    value falls as d grows, ``np.maximum`` when it rises. Rounding is monotone, so for a
+    finite lam >= 0 the reduced row gives each column's exact maximum over the run.
+    Both tables are exactly symmetric, so the value is symmetric in (x, y): the first
+    row that attains the maximum is the first column that does, and that one row is
+    recomputed for y."""
+    if not dom.n:
+        return -math.inf, (0, 0)
+    order = np.argsort(m, kind="stable")
+    best = np.full(dom.n, -np.inf)
+    for lo in range(0, dom.n, tables.BLOCK_ROWS):
+        ids = order[lo:lo + tables.BLOCK_ROWS]
+        images = m[ids]
+        heads = np.flatnonzero(np.r_[True, images[1:] != images[:-1]])
+        if heads.size == ids.size:
+            rows = dom.block(ids)
+        else:  # a gather per run: reduceat down axis 0 took 3x as long at n = 5000
+            rows = np.empty((heads.size, dom.n))
+            for k, run in enumerate(np.split(ids, heads[1:])):
+                reduce.reduce(dom.block(run), axis=0, out=rows[k])
+        np.maximum(best, expr(rows, rng.block(images[heads], m)).max(axis=0), out=best)
+    x = int(np.argmax(best))
+    row = expr(dom.block([x]), rng.block(m[[x]], m))[0]
+    y = int(np.argmax(row))
+    return float(row[y]), (x, y)
+
+
 def additive_slack(
     dom: FiniteMetricSpace,
     rng: FiniteMetricSpace,
@@ -85,9 +125,12 @@ def additive_slack(
 
     The result (clamped at 0) is the least additive constant c making
     (lam, c) a valid large-scale Lipschitz distortion of ``mapping``.
+    ``lam`` must pass :func:`space.check_scale`.
     """
+    lam = check_scale(lam, "lambda")
     m = _mapping_array(dom, rng, mapping)
-    return max_over_rows(dom.n, lambda rows: rng.block(m[rows], m) - lam * dom.block(rows))
+    return _pulled_back_max(dom, rng, m, np.minimum, lambda dd, dr: (
+        np.subtract(dr, np.multiply(dd, lam, out=dd), out=dr)))
 
 
 def displacement(
@@ -95,6 +138,8 @@ def displacement(
 ) -> tuple[float, int]:
     """Max over x of d(x, mapping(x)): how far a self-map moves points."""
     m = _mapping_array(space, space, mapping)
+    if m.size == 0:
+        raise TooFewPoints("displacement of an empty map", size=0)
     moved = space.block(slice(None))[np.arange(space.n), m]
     x = int(np.argmax(moved))
     return float(moved[x]), x
@@ -394,12 +439,9 @@ def restrict_equivalence(
     claimed_radius = R + 2.0 * lam * R + lam * c + lam * epsilon + c
     claimed_C = lam * (1.0 + (2.0 * R + c) / epsilon)
 
-    def gap(rows):
-        # d(x,y) - lam*d'(phi x, phi y) on a row block; its max must stay <= 2R + c
-        g = rng.block(phi[rows], phi)
-        g *= lam
-        return np.subtract(dom.block(rows), g, out=g)
-    eq_slack, eq_witness = max_over_rows(dom.n, gap)
+    # d(x,y) - lam*d'(phi x, phi y); its max must stay <= 2R + c
+    eq_slack, eq_witness = _pulled_back_max(dom, rng, phi, np.maximum, lambda dd, dr: (
+        np.subtract(dd, np.multiply(dr, lam, out=dr), out=dr)))
 
     range_net = net_from_members(rng, image, claimed_radius)
     measured_radius = range_net.cover_radius

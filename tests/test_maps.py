@@ -19,6 +19,7 @@ from coarsegeom.errors import (
     NonPositiveScale,
     NotDense,
     SizeMismatch,
+    TooFewPoints,
     TooLarge,
     UnknownPoint,
 )
@@ -116,6 +117,27 @@ def test_nan_constants_certify_nothing(line10):
         cg.closeness_gap(line10, line10, f, f, math.nan)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+def test_additive_slack_refuses_a_lambda_out_of_range(line10, lam):
+    # nan and inf gave (-inf, (0, 0)), so any c certified; -1 gave 18.0
+    with pytest.raises(NonPositiveScale, match="lambda must be a finite number >= 0"):
+        cg.additive_slack(line10, line10, [9] + [0] * 9, lam)
+    assert cg.additive_slack(line10, line10, [9] + [0] * 9, 0.0) == (9.0, (0, 1))
+
+
+def test_an_empty_map_is_refused_with_too_few_points():
+    # certify_equivalence raised numpy's argmax ValueError from displacement
+    empty = cg.FiniteMetricSpace(np.zeros((0, 0)))
+    f = cg.LargeScaleMap(np.zeros(0, dtype=np.intp), 1.0, 0.0)
+    with pytest.raises(TooFewPoints) as err:
+        cg.displacement(empty, [])
+    assert err.value.payload == {"size": 0}
+    with pytest.raises(TooFewPoints):
+        cg.certify_equivalence(empty, empty, cg.EquivalencePair(f, f, 0.0))
+    with pytest.raises(TooFewPoints):
+        cg.restrict_equivalence(empty, empty, cg.EquivalencePair(f, f, 0.0), 1.0)
+
+
 @pytest.mark.parametrize("x", [-1, 5, 2.5])
 def test_large_scale_map_call_checks_the_id(x):
     f = cg.LargeScaleMap(np.arange(5), 1.0, 0.0)
@@ -124,46 +146,73 @@ def test_large_scale_map_call_checks_the_id(x):
     assert f(4) == 4
 
 
+def pulled_back_mapping(gen, space, kind):
+    """A map of ``space``'s points into a space of the same size: random, constant, two-valued,
+    or each point snapped to its nearest member of a random member set, as a net map is."""
+    n = space.n
+    if kind == "random" or n == 0:
+        return gen.integers(0, max(n, 1), size=n)
+    if kind == "constant":
+        return np.full(n, gen.integers(0, n))
+    if kind == "two values":
+        return gen.choice(gen.integers(0, n, size=2), size=n)
+    members = gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
+    return cg.space.nearest_members(space, members)[0]
+
+
+MAP_KINDS = st.sampled_from(["random", "constant", "two values", "snapped"])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        n=st.one_of(st.integers(0, 12), st.sampled_from([255, 256, 257, 515])),
-       lam=st.sampled_from([1.0, 1.5, 2.0]))
-def test_additive_slack_is_the_whole_table_argmax(seed, n, lam):
-    # the larger sizes put the first-maximum rule across the scan's row blocks
+       lam=st.sampled_from([1.0, 1.5, 2.0]),
+       kind=MAP_KINDS,
+       block_rows=st.sampled_from([1, 3, 7, 256]))
+@example(seed=22, n=4, lam=1.0, kind="random", block_rows=3)  # maximum at (0, 1) and (1, 0)
+def test_additive_slack_is_the_whole_table_argmax(seed, n, lam, kind, block_rows):
+    # the larger sizes and small blocks put the first-maximum rule, and the runs of one
+    # image, across the scan's row blocks
     gen = np.random.default_rng(seed)
     dom = cg.FiniteMetricSpace(planted_table(gen, n))
     rng = cg.FiniteMetricSpace(planted_table(gen, n))
-    mapping = gen.integers(0, max(n, 1), size=n)
+    mapping = pulled_back_mapping(gen, dom, kind)
     gap = rng.dist[np.ix_(mapping, mapping)] - lam * dom.dist
     expected = (-math.inf, (0, 0))
     if n:
         x, y = np.unravel_index(int(np.argmax(gap)), gap.shape)
         expected = (float(gap.max()), (int(x), int(y)))
-    assert cg.additive_slack(dom, rng, mapping, lam) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cg.space, "BLOCK_ROWS", block_rows)
+        assert cg.additive_slack(dom, rng, mapping, lam) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        n=st.one_of(st.integers(1, 12), st.sampled_from([255, 256, 257, 515])),
-       lam=st.sampled_from([1.0, 1.5, 2.0]))
-def test_restrict_eq_slack_is_the_whole_table_argmax(seed, n, lam):
+       lam=st.sampled_from([1.0, 1.5, 2.0]),
+       kind=MAP_KINDS,
+       block_rows=st.sampled_from([1, 3, 7, 256]))
+def test_restrict_eq_slack_is_the_whole_table_argmax(seed, n, lam, kind, block_rows):
     # an epsilon past both diameters leaves a one-point net, so a map that is not
     # injective reaches the scan; with R = c = 0 a positive slack is refused by its
     # witness, and planted entries are multiples of 0.5, so no slack is within tolerance
     gen = np.random.default_rng(seed)
     dom = cg.FiniteMetricSpace(planted_table(gen, n))
     rng = cg.FiniteMetricSpace(planted_table(gen, n))
-    phi = gen.integers(0, n, size=n)
+    phi = pulled_back_mapping(gen, dom, kind)
     gap = dom.dist - lam * rng.dist[np.ix_(phi, phi)]
     x, y = np.unravel_index(int(np.argmax(gap)), gap.shape)
     f = cg.LargeScaleMap(phi, lam, 0.0)
     epsilon = 1.0 + max(dom.diameter(), rng.diameter())
-    if gap.max() <= 0.0:
-        _, report = cg.restrict_equivalence(dom, rng, cg.EquivalencePair(f, f, 0.0), epsilon)
-        assert report["measured"]["eq_slack"] == 0.0
-        return
-    with pytest.raises(CertificateError) as err:
-        cg.restrict_equivalence(dom, rng, cg.EquivalencePair(f, f, 0.0), epsilon)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cg.space, "BLOCK_ROWS", block_rows)
+        if gap.max() <= 0.0:
+            _, report = cg.restrict_equivalence(dom, rng, cg.EquivalencePair(f, f, 0.0), epsilon)
+            assert report["measured"]["eq_slack"] == 0.0
+            return
+        with pytest.raises(CertificateError) as err:
+            cg.restrict_equivalence(dom, rng, cg.EquivalencePair(f, f, 0.0), epsilon)
     assert err.value.payload["measured"]["eq_slack"] == float(gap.max())
     assert f"(worst pair {(int(x), int(y))})" in str(err.value)
 
