@@ -193,9 +193,7 @@ def build_geodesic_graph(
     adjacency = sub <= 3.0 * c
     edges = members[np.argwhere(np.triu(adjacency, k=1))].tolist()
 
-    # both directions of every edge, so the search runs directed
-    hop = shortest_path((adjacency | adjacency.T).astype(np.int8), method="D", unweighted=True,
-                        directed=True)
+    hop = shortest_path(adjacency.astype(np.int8), method="D", unweighted=True, directed=True)
     if not np.isfinite(hop).all():
         i, j = np.argwhere(~np.isfinite(hop))[0]
         raise GraphDisconnected(

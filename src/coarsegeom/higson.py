@@ -19,8 +19,8 @@ import numpy as np
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, partition_from_cells
 from .space import (
-    BLOCK_ROWS, FiniteMetricSpace, Record, check_grid, check_point_ids, check_scale, digest,
-    frozen, plain)
+    FiniteMetricSpace, Record, check_grid, check_point_ids, check_scale, digest, frozen, plain,
+    row_blocks)
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> Expansi
         if not vals.imag.any():
             vals = vals.real  # plain float differences are much cheaper
         out = np.empty(space.n)
-        for lo in range(0, space.n, BLOCK_ROWS):
-            rows = slice(lo, lo + BLOCK_ROWS)
+        for rows in row_blocks(space.n):
             out[rows] = np.abs(vals[rows, None] - vals[None, :]).max(
                 axis=1, where=space.block(rows) <= r, initial=0.0)
         return ExpansionField(r=r, values=out)

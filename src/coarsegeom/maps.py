@@ -34,20 +34,9 @@ from .errors import (
     TooLarge,
 )
 from .nets import Net, _as_order, greedy_separated_net, net_from_members
-from . import space as tables
 from .space import (
-    FiniteMetricSpace,
-    Record,
-    check_bounds,
-    check_grid,
-    check_point_ids,
-    check_scale,
-    exceeds,
-    frozen,
-    nearest_members,
-    plain,
-    within,
-)
+    FiniteMetricSpace, Record, check_bounds, check_grid, check_point_ids, check_scale, exceeds,
+    frozen, nearest_members, plain, row_blocks, within)
 
 # factorial enumeration stays sub-second up to here
 BRUTEFORCE_CAP = 8
@@ -87,7 +76,7 @@ def _pulled_back_max(
     first pair attaining it in row-major order, or ``(-inf, (0, 0))`` with no points:
     the one pulled-back scan. ``expr`` may write into either block.
 
-    Rows are taken in ``BLOCK_ROWS`` blocks of the points sorted by image, and each run
+    Rows are taken in :func:`row_blocks` of the points sorted by image, and each run
     of one image is reduced to one domain row by ``reduce``: ``np.minimum`` when the
     value falls as d grows, ``np.maximum`` when it rises. Rounding is monotone, so for a
     finite lam >= 0 the reduced row gives each column's exact maximum over the run.
@@ -98,8 +87,8 @@ def _pulled_back_max(
         return -math.inf, (0, 0)
     order = np.argsort(m, kind="stable")
     best = np.full(dom.n, -np.inf)
-    for lo in range(0, dom.n, tables.BLOCK_ROWS):
-        ids = order[lo:lo + tables.BLOCK_ROWS]
+    for rows in row_blocks(dom.n):
+        ids = order[rows]
         images = m[ids]
         heads = np.flatnonzero(np.r_[True, images[1:] != images[:-1]])
         if heads.size == ids.size:

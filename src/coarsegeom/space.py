@@ -327,12 +327,17 @@ def check_entries(arr: np.ndarray, tolerance: float) -> tuple[float, float]:
                         point=i, value=float(arr[i, i]))
 
 
+def row_blocks(n: int) -> list[slice]:
+    """The ``BLOCK_ROWS``-row slices of an n-row table, read at call time: the one row walk."""
+    return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
+
+
 def check_symmetry(arr: np.ndarray, tolerance: float) -> float:
     """The one symmetry rule, for a table that passed :func:`check_entries`: 0.0 when each
-    ``BLOCK_ROWS`` tile equals its mirror, decided with no n x n temporary; else its worst
-    |d(x, y) - d(y, x)|, or beyond ``tolerance`` ``AsymmetryError`` naming the first
+    :func:`row_blocks` tile equals its mirror, decided with no n x n temporary; else its
+    worst |d(x, y) - d(y, x)|, or beyond ``tolerance`` ``AsymmetryError`` naming the first
     row-major pair attaining it."""
-    tiles = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(arr), BLOCK_ROWS)]
+    tiles = row_blocks(len(arr))
     if all(np.array_equal(arr[r, c], arr[c, r].T)
            for k, r in enumerate(tiles) for c in tiles[k:]):
         return 0.0
@@ -343,39 +348,30 @@ def check_symmetry(arr: np.ndarray, tolerance: float) -> float:
     return worst
 
 
-def max_entry(keys: Iterable, block: Callable[[object], np.ndarray]) -> tuple[float, tuple]:
-    """Largest entry of the 2-D arrays ``block(key)`` over ``keys`` and
-    ``(key, i, j)`` of the first entry attaining it (keys in order, then
-    row-major), or ``(-inf, (0, 0, 0))`` with no keys: the one
-    max-with-witness scan over distance tables."""
-    worst, witness = -math.inf, (0, 0, 0)
-    for key in keys:
-        gap = block(key)
+def max_over_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[float, tuple[int, int]]:
+    """Largest entry of the arrays ``block(rows)`` over the :func:`row_blocks` of an n-row
+    table and ``(i, j)`` of the first entry attaining it, in table rows and row-major order,
+    or ``(-inf, (0, 0))`` with no rows: the one max-with-witness scan over distance tables."""
+    worst, witness = -math.inf, (0, 0)
+    for rows in row_blocks(n):
+        gap = block(rows)
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         if gap[i, j] > worst:
-            worst, witness = float(gap[i, j]), (key, int(i), int(j))
+            worst, witness = float(gap[i, j]), (rows.start + int(i), int(j))
     return worst, witness
-
-
-def max_over_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[float, tuple[int, int]]:
-    """:func:`max_entry` over the slices ``block(rows)`` of ``BLOCK_ROWS`` rows of an
-    n-row table, its witness ``(i, j)`` in table rows: the one whole-table scan."""
-    worst, (lo, i, j) = max_entry(range(0, n, BLOCK_ROWS),
-                                  lambda lo: block(slice(lo, lo + BLOCK_ROWS)))
-    return worst, (lo + i, j)
 
 
 def threshold_graph(space: FiniteMetricSpace, c: float):
     """The CSR graph of the pairs x, y with d(x, y) <= c, weighted by d(x, y), built from
-    ``BLOCK_ROWS``-row blocks with no n x n temporary: the one threshold graph. A zero entry
+    :func:`row_blocks` with no n x n temporary: the one threshold graph. A zero entry
     (the diagonal, a duplicate point) stays an edge of length 0, and each row's columns
     ascend. The table is symmetric, so the graph holds both directions of every edge and a
     directed search of it is the undirected one."""
     from scipy.sparse import csr_matrix
 
     weights, cols, degrees = [np.empty(0)], [np.empty(0, np.int32)], [np.zeros(1, np.intp)]
-    for lo in range(0, space.n, BLOCK_ROWS):
-        w = space.block(slice(lo, lo + BLOCK_ROWS))
+    for rows in row_blocks(space.n):
+        w = space.block(rows)
         keep = w <= c
         weights.append(w[keep])
         cols.append(np.nonzero(keep)[1].astype(np.int32))  # scipy's index type: no copy
@@ -386,17 +382,26 @@ def threshold_graph(space: FiniteMetricSpace, c: float):
 
 
 def worst_triangle_defect(dist: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """Max over triples of d(i,k) - d(i,j) - d(j,k) and an attaining triple.
+    """Max over triples of d(i,k) - d(i,j) - d(j,k) and an attaining triple: the smallest j,
+    then the first (i, k) in row-major order; ``(-inf, (0, 0, 0))`` with no points.
 
-    Positive defect means the triangle inequality fails through
-    intermediate point j. Every block is written into one n x n buffer;
-    ``max_entry`` reads a block's maximum before it asks for the next.
+    Positive defect means the triangle inequality fails through intermediate point j. Each
+    row block is written, for every j, into one buffer of its size, and j keeps its maximum;
+    one :func:`max_over_rows` pass over the worst j's defects then gives (i, k).
     """
-    buf = np.empty_like(dist)
-    worst, (j, i, k) = max_entry(
-        range(len(dist)),
-        lambda j: np.subtract(dist, np.add(dist[:, j, None], dist[j, None, :], out=buf),
-                              out=buf))
+    n, best = len(dist), np.full(len(dist), -math.inf)
+
+    def through(j: int, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.add(dist[rows, j, None], dist[j], out=out)
+        return np.subtract(dist[rows], out, out=out)
+
+    for rows in row_blocks(n):
+        out = None  # frees the last block's buffer before the first j allocates this one's
+        for j in range(n):
+            out = through(j, rows, out)
+            best[j] = max(best[j], out.max())
+    out, j = None, int(np.argmax(best)) if n else 0  # the witness pass holds its own block
+    worst, (i, k) = max_over_rows(n, lambda rows: through(j, rows))
     return worst, (i, j, k)
 
 
@@ -419,8 +424,10 @@ def from_distance_matrix(
     worst_negative, worst_diagonal = check_entries(arr, tolerance)
     worst_asymmetry = check_symmetry(arr, tolerance)
 
-    repaired = np.clip(arr / 2.0 + arr.T / 2.0, 0.0, None)
-    np.fill_diagonal(repaired, 0.0)
+    repaired = arr / 2.0
+    for rows in row_blocks(len(arr)):
+        repaired[rows] += arr.T[rows] / 2.0
+    np.fill_diagonal(np.clip(repaired, 0.0, None, out=repaired), 0.0)
     repaired = hand_over(repaired)
 
     with np.errstate(over="ignore"):  # a sum past the float range is no defect: d - inf = -inf

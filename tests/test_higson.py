@@ -17,7 +17,7 @@ from coarsegeom.errors import (
     PartitionGap,
     UnknownPoint,
 )
-from conftest import assert_sealed, random_bounded_function, random_space
+from conftest import assert_sealed, planted_table, random_bounded_function, random_space
 
 ALGEBRA_TOL = 1e-12
 
@@ -58,6 +58,38 @@ def test_expansion_rejects_negative_radius(line10):
     f = cg.BoundedFunction(np.zeros(10))
     with pytest.raises(ValueError):
         cg.expansion(line10, f, -1.0)
+
+
+def test_expansion_walks_the_row_blocks_of_the_patched_block_size(monkeypatch):
+    # higson bound BLOCK_ROWS at import, so at any patched size expansion read 256-row blocks
+    monkeypatch.setattr(cg.space, "BLOCK_ROWS", 7)
+    space, asked, read = cg.line_space(600), [], cg.FiniteMetricSpace.block
+
+    def block(self, rows, cols=None):
+        asked.append(rows)
+        return read(self, rows, cols)
+    monkeypatch.setattr(cg.FiniteMetricSpace, "block", block)
+    assert cg.expansion(space, cg.BoundedFunction(np.arange(600.0)), 2.0).values.tolist() == (
+        [2.0] * 600)
+    assert asked == [slice(lo, lo + 7) for lo in range(0, 600, 7)]
+    assert asked == cg.space.row_blocks(600)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.one_of(st.integers(1, 30), st.sampled_from([255, 256, 257])),
+       r=st.sampled_from([0.0, 1.0, 2.5]), complex_valued=st.booleans(),
+       block_rows=st.sampled_from([1, 3, 7, 256]))
+def test_expansion_is_the_whole_table_maximum(seed, n, r, complex_valued, block_rows):
+    # a table with ties and duplicate points, read across row blocks of every size
+    gen = np.random.default_rng(seed)
+    space = cg.FiniteMetricSpace(planted_table(gen, n))
+    f = random_bounded_function(gen, n, complex_valued)
+    vals = f.values if complex_valued else f.values.real
+    expected = np.where(space.dist <= r, np.abs(vals[:, None] - vals[None, :]), 0.0).max(axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cg.space, "BLOCK_ROWS", block_rows)
+        assert cg.expansion(space, f, r).values.tolist() == expected.tolist()
 
 
 @settings(max_examples=40, deadline=None)

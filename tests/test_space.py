@@ -412,6 +412,14 @@ def test_only_space_reads_the_table():
     assert readers == []
 
 
+def test_only_space_names_the_block_size():
+    # one row walk: the others take their blocks from row_blocks, which reads BLOCK_ROWS at
+    # call time; higson bound it at import, so a patched size never reached expansion
+    assert "BLOCK_ROWS" in _names(_modules()["space.py"])
+    users = [name for name, tree in _modules_but_space().items() if "BLOCK_ROWS" in _names(tree)]
+    assert users == []
+
+
 def test_only_space_names_the_memo_or_its_seals():
     # one reuse rule and one sealing rule: the others reach the weak store only through
     # FiniteMetricSpace.memo, and seal an array only through frozen or hand_over
@@ -556,8 +564,9 @@ def test_labels_metric_kinds_and_empty_member_sets_are_refused(call, error, mess
 # --- the scan kernels against whole-table references ---
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12))
-def test_worst_triangle_defect_is_the_whole_table_argmax(seed, n):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12),
+       block_rows=st.sampled_from([1, 3, 7, 256]))
+def test_worst_triangle_defect_is_the_whole_table_argmax(seed, n, block_rows):
     dist = planted_table(np.random.default_rng(seed), n)
     # defect[j, i, k] = d(i, k) - (d(i, j) + d(j, k)): j first, then row-major
     defect = dist[None, :, :] - (dist.T[:, :, None] + dist[:, None, :])
@@ -565,7 +574,9 @@ def test_worst_triangle_defect_is_the_whole_table_argmax(seed, n):
     if n:
         j, i, k = np.unravel_index(int(np.argmax(defect)), defect.shape)
         expected = (float(defect.max()), (int(i), int(j), int(k)))
-    got = space_module.worst_triangle_defect(dist)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space_module, "BLOCK_ROWS", block_rows)
+        got = space_module.worst_triangle_defect(dist)
     assert got == expected
     assert all(type(v) is int for v in got[1])
 
@@ -606,9 +617,21 @@ def test_validation_holds_two_tables_beyond_its_input():
     assert peak <= 2.25 * table.nbytes
 
 
+def test_validation_holds_one_table_and_a_few_row_blocks_beyond_its_input(monkeypatch):
+    # the repair built t / 2 + t.T / 2 whole and the triangle scan held an n x n buffer:
+    # two tables beyond the input, 2.02 of them here
+    monkeypatch.setattr(space_module, "BLOCK_ROWS", 64)
+    pts = np.random.default_rng(5).uniform(0.0, 100.0, size=(1000, 2))
+    table = cg.from_point_cloud(pts).dist.copy()
+    (space, report), peak = traced_peak(cg.from_distance_matrix, table)
+    assert report.verdict and space.dist.tobytes() == table.tobytes()
+    assert peak <= 1.4 * table.nbytes
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(13, 60))
-def test_worst_triangle_defect_names_the_first_of_tied_intermediates(seed, n):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(13, 60),
+       block_rows=st.sampled_from([1, 3, 7, 256]))
+def test_worst_triangle_defect_names_the_first_of_tied_intermediates(seed, n, block_rows):
     gen = np.random.default_rng(seed)
     scale = gen.uniform(0.1, 10.0)
     dist = planted_table(gen, n) * scale
@@ -625,7 +648,9 @@ def test_worst_triangle_defect_names_the_first_of_tied_intermediates(seed, n):
     defect = dist[None, :, :] - (dist.T[:, :, None] + dist[:, None, :])
     assert defect[a].max() == defect[b].max() == defect.max()
     j, i, k = np.unravel_index(int(np.argmax(defect)), defect.shape)
-    got = space_module.worst_triangle_defect(dist)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space_module, "BLOCK_ROWS", block_rows)
+        got = space_module.worst_triangle_defect(dist)
     assert got == (float(defect.max()), (int(i), int(j), int(k)))
     assert got[1][1] <= min(a, b)
 
