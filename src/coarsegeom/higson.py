@@ -19,8 +19,8 @@ import numpy as np
 from .errors import EmptyTail, OverlappingBalls
 from .nets import BorelPartition, partition_from_cells
 from .space import (
-    FiniteMetricSpace, Record, check_grid, check_point_ids, check_scale, digest, frozen, plain,
-    row_blocks)
+    FiniteMetricSpace, Record, check_grid, check_point_id, check_point_ids, check_scale, digest,
+    frozen, plain, row_blocks)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def decay_profile(
     ``expansion(space, f, r)`` returns; a ``field_cache`` must be that very field, which
     ``space.memo`` holds while the caller does, and any other raises ``ValueError``."""
     r = check_scale(r, "expansion radius r")
-    from_base = space.block(check_point_ids(space, base))
+    from_base = space.block(check_point_id(space, base))
     if rho_grid is None:
         rho_grid = [float(from_base.max()) * t for t in (0.0, 0.25, 0.5, 0.75, 0.9)]
     rhos = check_grid(rho_grid, "rho grid", "tail radius rho")
@@ -171,7 +171,7 @@ def bump_function(
     if (np.diff(rad) < 0).any():
         raise ValueError("radii must be nondecreasing")
     if base is not None:
-        gaps = space.block(check_point_ids(space, base), ctr)
+        gaps = space.block(check_point_id(space, base), ctr)
         if (np.diff(gaps) < 0).any():
             raise ValueError(
                 "centers must be ordered by nondecreasing distance from the base"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .errors import (
 )
 from .nets import Net, _as_order, greedy_separated_net, net_from_members
 from .space import (
-    FiniteMetricSpace, Record, check_bounds, check_grid, check_point_ids, check_scale, exceeds,
-    frozen, nearest_members, plain, row_blocks, within)
+    FiniteMetricSpace, Record, check_bounds, check_grid, check_point_id, check_point_ids,
+    check_scale, exceeds, frozen, max_over_rows, nearest_members, plain, row_blocks, within)
 
 # factorial enumeration stays sub-second up to here
 BRUTEFORCE_CAP = 8
@@ -65,6 +65,25 @@ def _net_image(rng: FiniteMetricSpace, range_net: Net, image: Sequence[int]) -> 
     return img
 
 
+def _pulled_back_rows(dom: FiniteMetricSpace, m: np.ndarray,
+                      reduce: np.ufunc) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one pulled-back row walk: per :func:`row_blocks` block of the points sorted
+    by image, each run of one image reduced to one fresh domain row by ``reduce``, and
+    the runs' images. A run cut by a block boundary gives a row in each block."""
+    order = np.argsort(m, kind="stable")
+    for rows in row_blocks(dom.n):
+        ids = order[rows]
+        images = m[ids]
+        heads = np.flatnonzero(np.r_[True, images[1:] != images[:-1]])
+        if heads.size == ids.size:
+            rows = dom.block(ids)
+        else:  # a gather per run: reduceat down axis 0 took 3x as long at n = 5000
+            rows = np.empty((heads.size, dom.n))
+            for k, run in enumerate(np.split(ids, heads[1:])):
+                reduce.reduce(dom.block(run), axis=0, out=rows[k])
+        yield rows, images[heads]
+
+
 def _pulled_back_max(
     dom: FiniteMetricSpace,
     rng: FiniteMetricSpace,
@@ -76,8 +95,7 @@ def _pulled_back_max(
     first pair attaining it in row-major order, or ``(-inf, (0, 0))`` with no points:
     the one pulled-back scan. ``expr`` may write into either block.
 
-    Rows are taken in :func:`row_blocks` of the points sorted by image, and each run
-    of one image is reduced to one domain row by ``reduce``: ``np.minimum`` when the
+    Rows come from :func:`_pulled_back_rows` with ``reduce``: ``np.minimum`` when the
     value falls as d grows, ``np.maximum`` when it rises. Rounding is monotone, so for a
     finite lam >= 0 the reduced row gives each column's exact maximum over the run.
     Both tables are exactly symmetric, so the value is symmetric in (x, y): the first
@@ -85,19 +103,9 @@ def _pulled_back_max(
     recomputed for y."""
     if not dom.n:
         return -math.inf, (0, 0)
-    order = np.argsort(m, kind="stable")
     best = np.full(dom.n, -np.inf)
-    for rows in row_blocks(dom.n):
-        ids = order[rows]
-        images = m[ids]
-        heads = np.flatnonzero(np.r_[True, images[1:] != images[:-1]])
-        if heads.size == ids.size:
-            rows = dom.block(ids)
-        else:  # a gather per run: reduceat down axis 0 took 3x as long at n = 5000
-            rows = np.empty((heads.size, dom.n))
-            for k, run in enumerate(np.split(ids, heads[1:])):
-                reduce.reduce(dom.block(run), axis=0, out=rows[k])
-        np.maximum(best, expr(rows, rng.block(images[heads], m)).max(axis=0), out=best)
+    for rows, images in _pulled_back_rows(dom, m, reduce):
+        np.maximum(best, expr(rows, rng.block(images, m)).max(axis=0), out=best)
     x = int(np.argmax(best))
     row = expr(dom.block([x]), rng.block(m[[x]], m))[0]
     y = int(np.argmax(row))
@@ -129,9 +137,9 @@ def displacement(
     m = _mapping_array(space, space, mapping)
     if m.size == 0:
         raise TooFewPoints("displacement of an empty map", size=0)
-    moved = space.block(slice(None))[np.arange(space.n), m]
-    x = int(np.argmax(moved))
-    return float(moved[x]), x
+    moved, (x, _) = max_over_rows(space.n, lambda rows: np.take_along_axis(
+        space.block(rows), m[rows, None], axis=1))
+    return moved, x
 
 
 @dataclass(frozen=True)
@@ -149,7 +157,7 @@ class LargeScaleMap(Record):
         check_scale(self.c, "additive constant c")
 
     def __call__(self, x: int) -> int:
-        return int(self.mapping[check_point_ids(len(self.mapping), x)])
+        return int(self.mapping[check_point_id(len(self.mapping), x)])
 
     def to_dict(self) -> dict:
         return plain({"mapping": self.mapping, "lambda": self.lam, "c": self.c})
@@ -311,7 +319,7 @@ def measure_distortion(
 
     dd = dom.block(a, a)
     dr = rng.block(b, b)
-    profile = _profile(dd, dr, default_radius_grid(float(dd.max(initial=0.0))))
+    profile = _profile([(dd, dr)], default_radius_grid(float(dd.max(initial=0.0))))
 
     def pair(table: np.ndarray, off: float) -> tuple[int, int] | None:
         """Ids of the first pair attaining ``table``'s maximum, or None if all are ``off``."""
@@ -480,12 +488,15 @@ def closeness_gap(
 
 
 def _profile(
-    within: np.ndarray, reach: np.ndarray, grid: Sequence[float]
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], grid: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """(R, max of ``reach`` over the entries where ``within`` <= R) per
-    grid R, 0 where there are none."""
+    """(R, max of ``reach`` over the entries where ``within`` <= R) per grid R, over
+    every ``(within, reach)`` pair of blocks, 0 where there are none."""
     radii = check_grid(grid, "radius grid", "radius")
-    return [(r, float(reach[within <= r].max(initial=0.0))) for r in radii]
+    best = np.zeros(len(radii))
+    for within, reach in blocks:
+        np.maximum(best, [reach[within <= r].max(initial=0.0) for r in radii], out=best)
+    return list(zip(radii, best.tolist()))
 
 
 def expansiveness_profile(
@@ -494,12 +505,12 @@ def expansiveness_profile(
     mapping: Sequence[int],
     radius_grid: Sequence[float] | None = None,
 ) -> list[tuple[float, float]]:
-    """S(R) = max d'(fx, fz) over pairs with d(x, z) <= R, per grid R."""
+    """S(R) = max d'(fx, fz) over pairs with d(x, z) <= R, per grid R. d'(fx, fz) is
+    one value over a run of one image, so each run passes with its least d."""
     m = _mapping_array(dom, rng, mapping)
-    grid = (
-        default_radius_grid(dom.diameter()) if radius_grid is None else list(radius_grid)
-    )
-    return _profile(dom.block(slice(None)), rng.block(m, m), grid)
+    grid = default_radius_grid(dom.diameter()) if radius_grid is None else list(radius_grid)
+    return _profile(((rows, rng.block(images, m))
+                     for rows, images in _pulled_back_rows(dom, m, np.minimum)), grid)
 
 
 def properness_profile(
@@ -508,12 +519,12 @@ def properness_profile(
     mapping: Sequence[int],
     radius_grid: Sequence[float] | None = None,
 ) -> list[tuple[float, float]]:
-    """S'(R) = max d(x, z) over pairs with d'(fx, fz) <= R, per grid R."""
+    """S'(R) = max d(x, z) over pairs with d'(fx, fz) <= R, per grid R. d'(fx, fz) is
+    one value over a run of one image, so each run reaches its greatest d."""
     m = _mapping_array(dom, rng, mapping)
-    grid = (
-        default_radius_grid(rng.diameter()) if radius_grid is None else list(radius_grid)
-    )
-    return _profile(rng.block(m, m), dom.block(slice(None)), grid)
+    grid = default_radius_grid(rng.diameter()) if radius_grid is None else list(radius_grid)
+    return _profile(((rng.block(images, m), rows)
+                     for rows, images in _pulled_back_rows(dom, m, np.maximum)), grid)
 
 
 def quasi_inverse(

@@ -183,6 +183,11 @@ def check_point_ids(space: FiniteMetricSpace | int, ids) -> np.ndarray:
     return raw.astype(np.intp)
 
 
+def check_point_id(space: FiniteMetricSpace | int, x) -> int:
+    """``x`` as an int if it is one id naming a point of ``space``, else ``UnknownPoint``."""
+    return int(check_point_ids(space, [x])[0])
+
+
 def within(measured, claimed, tolerance: float = DEFAULT_TOLERANCE):
     """Whether ``measured`` <= ``claimed`` + ``tolerance``, for a number or
     entrywise for an array: the one comparison every bound, cover,
@@ -265,7 +270,7 @@ class FiniteMetricSpace(Record):
         return float(self.dist.max(initial=0.0))
 
     def label_of(self, x: int) -> str:
-        x = int(check_point_ids(self, x))
+        x = check_point_id(self, x)
         return self.labels[x] if self.labels else str(x)
 
 
@@ -482,7 +487,7 @@ def line_space(n: int) -> FiniteMetricSpace:
 def closed_ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:
     """Indices of the closed ball {y : d(x,y) <= radius}, sorted."""
     radius = check_scale(radius, "ball radius")
-    return np.flatnonzero(space.dist[check_point_ids(space, x)] <= radius)
+    return np.flatnonzero(space.dist[check_point_id(space, x)] <= radius)
 
 
 def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:

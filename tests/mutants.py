@@ -75,15 +75,16 @@ MUTANTS = {
         "        keep = w <= c\n", "        keep = w < c\n")],
         ["test_convexity.py"]),
     "closed_ball keeps d < radius only": ("space.py", [(
-        "[check_point_ids(space, x)] <= radius)", "[check_point_ids(space, x)] < radius)")],
+        "[check_point_id(space, x)] <= radius)", "[check_point_id(space, x)] < radius)")],
         ["test_space.py"]),
+    # the pulled-back walk and its users
     "the pulled-back scans swap min and max": ("maps.py", [
         ("rng, m, np.minimum, lambda", "rng, m, np.maximum, lambda"),
         ("rng, phi, np.maximum, lambda", "rng, phi, np.minimum, lambda")],
         ["test_maps.py"]),
     "the pulled-back scan resets its running maximum per block": ("maps.py", [(
-        "np.maximum(best, expr(rows, rng.block(images[heads], m)).max(axis=0), out=best)",
-        "best = expr(rows, rng.block(images[heads], m)).max(axis=0)")],
+        "np.maximum(best, expr(rows, rng.block(images, m)).max(axis=0), out=best)",
+        "best = expr(rows, rng.block(images, m)).max(axis=0)")],
         ["test_maps.py"]),
     "the pulled-back witness is the last attaining column": ("maps.py", [(
         "    x = int(np.argmax(best))", "    x = dom.n - 1 - int(np.argmax(best[::-1]))")],
@@ -91,6 +92,19 @@ MUTANTS = {
     "the pulled-back scan drops a block's final run": ("maps.py", [
         ("rows = np.empty((heads.size, dom.n))", "rows = np.full((heads.size, dom.n), -np.inf)"),
         ("enumerate(np.split(ids, heads[1:]))", "enumerate(np.split(ids, heads[1:])[:-1])")],
+        ["test_maps.py"]),
+    "the expansiveness walk reduces with np.maximum": ("maps.py", [(
+        "_pulled_back_rows(dom, m, np.minimum)", "_pulled_back_rows(dom, m, np.maximum)")],
+        ["test_maps.py"]),
+    "the properness walk reduces with np.minimum": ("maps.py", [(
+        "_pulled_back_rows(dom, m, np.maximum)", "_pulled_back_rows(dom, m, np.minimum)")],
+        ["test_maps.py"]),
+    "_profile keeps within < r": ("maps.py", [(
+        "reach[within <= r]", "reach[within < r]")],
+        ["test_maps.py"]),
+    "_profile resets its running maximum per block": ("maps.py", [(
+        "np.maximum(best, [reach[within <= r].max(initial=0.0) for r in radii], out=best)",
+        "best = np.array([reach[within <= r].max(initial=0.0) for r in radii])")],
         ["test_maps.py"]),
 }
 

@@ -351,6 +351,17 @@ def test_partition_extend_decay_dominated_by_net_decay():
 
 # --- inputs handed in must match the call ---
 
+@pytest.mark.parametrize("call", [
+    lambda line, x: cg.decay_profile(line, cg.BoundedFunction(np.zeros(line.n)), 1.0, x),
+    lambda line, x: cg.bump_function(line, [2], [1.0], base=x),  # "centers must be ordered"
+], ids=["decay_profile", "bump_function"])
+def test_a_base_point_is_one_id(call):
+    # a list of ids reached the table as a list of rows: decay_profile raised IndexError
+    with pytest.raises(UnknownPoint) as err:
+        call(cg.line_space(5), [0, 4])
+    assert err.value.payload == {"id": [0, 4], "n": 5}
+
+
 def test_decay_profile_refuses_a_field_of_another_radius_or_size(line10):
     f = cg.BoundedFunction(np.arange(10.0) ** 2)
     # the r = 0 field passed for r = 5 gave all-zero tails and a Higson verdict

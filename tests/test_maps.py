@@ -138,11 +138,11 @@ def test_an_empty_map_is_refused_with_too_few_points():
         cg.restrict_equivalence(empty, empty, cg.EquivalencePair(f, f, 0.0), 1.0)
 
 
-@pytest.mark.parametrize("x", [-1, 5, 2.5])
+@pytest.mark.parametrize("x", [-1, 5, 2.5, [0, 1]])
 def test_large_scale_map_call_checks_the_id(x):
     f = cg.LargeScaleMap(np.arange(5), 1.0, 0.0)
     with pytest.raises(UnknownPoint):
-        f(x)  # f(-1) returned 4
+        f(x)  # f(-1) returned 4, f([0, 1]) raised TypeError
     assert f(4) == 4
 
 
@@ -224,8 +224,16 @@ def test_the_pulled_back_scans_hold_row_blocks_not_tables():
     perm = gen.permutation(n)
     dom, rng = cg.from_point_cloud(pts), cg.from_point_cloud(pts[perm])
     blocks = 4 * cg.space.BLOCK_ROWS * n * 8
-    _, peak = traced_peak(cg.additive_slack, dom, rng, gen.integers(0, n, size=n), 1.5)
+    mapping = gen.integers(0, n, size=n)
+    _, peak = traced_peak(cg.additive_slack, dom, rng, mapping, 1.5)
     assert peak <= blocks
+    # below one table's 7.8 blocks: the profiles held 16.6, a gathered table and masks; they
+    # peak at 3.3 on the random map and 5.0 on the permutation, and displacement at 0.01
+    six = 6 * cg.space.BLOCK_ROWS * n * 8
+    for profile in (cg.expansiveness_profile, cg.properness_profile):
+        for m in (mapping, perm):
+            assert traced_peak(profile, dom, rng, m)[1] <= six
+    assert traced_peak(cg.displacement, dom, perm)[1] <= six
     # phi carries each point to its own copy, so the pair is an isometry; the net is coarse
     phi = cg.LargeScaleMap(np.argsort(perm), 1.0, 0.0)
     back = cg.LargeScaleMap(perm, 1.0, 0.0)
@@ -490,6 +498,37 @@ def test_squares_to_cubes_properness_power_bound():
         cubes = cg.from_point_cloud([[float(n ** 3)] for n in range(1, k + 1)])
         for r, s in cg.properness_profile(squares, cubes, np.arange(k)):
             assert s <= r ** 1.5 + 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.one_of(st.integers(0, 12), st.sampled_from([255, 256, 257, 515])),
+       kind=st.one_of(MAP_KINDS, st.just("permutation")),
+       grid=st.sampled_from(["default", "unsorted", "repeated", "entries"]),
+       block_rows=st.sampled_from([1, 3, 7, 256]))
+def test_profiles_and_displacement_are_the_whole_table_reads(seed, n, kind, grid, block_rows):
+    # integer tables put grid radii on table entries, so a < for <= changes a sample; the
+    # small blocks cut the runs of one image across the walk's row blocks
+    gen = np.random.default_rng(seed)
+    dom = cg.FiniteMetricSpace(planted_table(gen, n))
+    rng = cg.FiniteMetricSpace(planted_table(gen, n))
+    mapping = gen.permutation(n) if kind == "permutation" else pulled_back_mapping(gen, dom, kind)
+    d, dm = dom.dist, rng.dist[np.ix_(mapping, mapping)]
+    radii = {"default": None, "unsorted": [4.0, 1.0, 2.5, 0.0], "repeated": [2.0, 2.0, 1.0, 2.0],
+             "entries": gen.choice(np.r_[0.0, d.ravel(), dm.ravel()], size=5).tolist()}[grid]
+
+    def dense(within, reach, default):
+        return [(r, float(reach[within <= r].max(initial=0.0)))
+                for r in (maps.default_radius_grid(default) if radii is None else radii)]
+
+    moved = d[np.arange(n), mapping]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cg.space, "BLOCK_ROWS", block_rows)
+        assert cg.expansiveness_profile(dom, rng, mapping, radii) == dense(d, dm, dom.diameter())
+        assert cg.properness_profile(dom, rng, mapping, radii) == dense(dm, d, rng.diameter())
+        if n:
+            x = int(np.argmax(moved))
+            assert cg.displacement(dom, mapping) == (float(moved[x]), x)
 
 
 # --- quasi-inverse ---

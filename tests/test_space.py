@@ -46,7 +46,7 @@ def test_triangle_violation_names_triple():
     assert err.value.payload["defect"] == 3.0
 
 
-@pytest.mark.parametrize("x", [-1, 10])
+@pytest.mark.parametrize("x", [-1, 10, [0, 4], [3]])  # a list gave the union of its balls
 def test_point_ids_must_name_points(x):
     with pytest.raises(UnknownPoint) as err:
         cg.closed_ball(cg.line_space(10), x, 1.0)
@@ -412,6 +412,18 @@ def test_only_space_reads_the_table():
     assert readers == []
 
 
+def test_only_the_oracle_reads_a_whole_table():
+    # every other scan reads row blocks, so a backend that serves rows and holds no dense
+    # table needs only the brute-force oracle replaced; the profiles and displacement
+    # indexed block(slice(None)) as an n x n array
+    readers = {(name, top.name) for name, tree in _modules_but_space().items()
+               for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "block"
+               and "slice(None)" in map(ast.unparse, node.args)}
+    assert readers == {("maps.py", "min_distortion_bruteforce")}
+
+
 def test_only_space_names_the_block_size():
     # one row walk: the others take their blocks from row_blocks, which reads BLOCK_ROWS at
     # call time; higson bound it at import, so a patched size never reached expansion
@@ -526,6 +538,8 @@ def test_closed_ball_monotone_in_radius(seed, r1, r2):
     ("d", (0.5, 1)),
     ("label_of", (-1,)),  # returned the last label
     ("label_of", (10,)),
+    ("label_of", ([1, 2],)),  # TypeError
+    ("label_of", ([9],)),  # TypeError
 ])
 def test_accessors_never_wrap_a_point_id(method, ids):
     space = cg.FiniteMetricSpace(cg.line_space(10).dist, labels=tuple("abcdefghij"))
