@@ -110,12 +110,9 @@ def convexity_constants(
                          f"at scale {c!r} on {space.n} points, got another at scale "
                          f"{chains.c!r} with a {chains.table.shape} table")
     if not cm.is_connected():
-        i, j = np.argwhere(~np.isfinite(cm.table))[0]
+        _, (i, j) = max_over_rows(space.n, lambda rows: ~np.isfinite(cm.table[rows]))
         raise NotQuasiConvexAtScale(
-            f"points {i} and {j} are not chain-connected at scale {c}",
-            c=c,
-            witness=[int(i), int(j)],
-        )
+            f"points {i} and {j} are not chain-connected at scale {c}", c=c, witness=[i, j])
     if b_grid is None:
         b_grid = [0.0, c / 2.0, c, 2.0 * c, 4.0 * c]
     t, d = cm.table, space.block
@@ -195,7 +192,7 @@ def build_geodesic_graph(
 
     hop = shortest_path(adjacency.astype(np.int8), method="D", unweighted=True, directed=True)
     if not np.isfinite(hop).all():
-        i, j = np.argwhere(~np.isfinite(hop))[0]
+        _, (i, j) = max_over_rows(len(hop), lambda rows: ~np.isfinite(hop[rows]))
         raise GraphDisconnected(
             f"net points {members[i]} and {members[j]} are in different "
             f"components; the quasi-convexity certificate must be wrong",

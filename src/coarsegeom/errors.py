@@ -31,8 +31,8 @@ class NonPositiveScale(ValueError):
 
 
 # --- distance table validation ---
-# the errors of ``space.check_entries`` and ``space.check_symmetry`` are also
-# ValueErrors, the class a ``FiniteMetricSpace`` documents for a table it refuses
+# the errors of ``space.check_table`` are also ValueErrors, the class a
+# ``FiniteMetricSpace`` documents for a table it refuses
 
 class NonFiniteEntry(CoarseGeomError, ValueError):
     pass

@@ -211,7 +211,13 @@ def partition_extend(
     if isinstance(f_on_members, BoundedFunction):
         seq = f_on_members.values
     elif isinstance(f_on_members, Mapping):
-        seq = [f_on_members[int(x)] for x in members]
+        ids, known = members.tolist(), set(members.tolist())
+        stray = [x for x in ids if x not in f_on_members] + [
+            k for k in f_on_members if k not in known]
+        if stray:
+            raise ValueError(f"expected one value per member ({members.size}), keyed by id: "
+                             f"{stray[0]!r} is {'missing' if stray[0] in known else 'no member'}")
+        seq = [f_on_members[x] for x in ids]
     else:
         seq = f_on_members
     member_values = np.asarray(seq, dtype=np.complex128)

@@ -323,10 +323,8 @@ def measure_distortion(
 
     def pair(table: np.ndarray, off: float) -> tuple[int, int] | None:
         """Ids of the first pair attaining ``table``'s maximum, or None if all are ``off``."""
-        if not (table != off).any():
-            return None
-        i, j = np.unravel_index(int(np.argmax(table)), table.shape)
-        return int(a[i]), int(a[j])
+        worst, (i, j) = max_over_rows(len(table), lambda rows: table[rows])
+        return None if worst <= off else (int(a[i]), int(a[j]))
 
     (_, expand), (C, contract) = [(C, pair(t, -np.inf)) for C, t in _distortion(dd, dr)]
     return DistortionReport(float(C), expand, contract, pair((dd == 0) != (dr == 0), 0.0),
@@ -548,7 +546,7 @@ def quasi_inverse(
     covered = hits.any(axis=0)
     if not covered.all():
         witness = int(np.flatnonzero(~covered)[0])
-        gap = float(rows[:, witness].min())
+        gap = float(rows[:, witness].min(initial=math.inf))
         raise NotDense(
             f"image is not {N}-dense: point {witness} of the range space "
             f"is {gap!r} from it",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -87,14 +88,15 @@ class Net(Record):
 class BorelPartition(Record):
     """Disjoint cells F_x, one per net member, with x in F_x subset B(x, K).
 
-    ``cells`` is a plain dict of its own; its arrays are read-only."""
+    ``cells`` is a read-only view of a dict of its own; its arrays are read-only."""
 
-    cells: dict[int, np.ndarray]
+    cells: Mapping[int, np.ndarray]
     K: float
     enumeration_order: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", {x: frozen(c) for x, c in self.cells.items()})
+        object.__setattr__(self, "cells", MappingProxyType(
+            {x: frozen(c) for x, c in self.cells.items()}))
         object.__setattr__(self, "enumeration_order", frozen(self.enumeration_order))
 
     def cell_index(self, n_points: int) -> np.ndarray:

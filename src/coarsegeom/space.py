@@ -15,7 +15,7 @@ import math
 import numbers
 import weakref
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ METRICS = {
 
 def plain(value):
     """``value`` as JSON holds it, the one rule for every report: a record
-    becomes its ``to_dict``, an array or tuple a list, a dict one with
+    becomes its ``to_dict``, an array or tuple a list, a mapping a dict with
     string keys, and a nan or infinite float None. An array goes through
     ``tolist`` at C speed unless it holds a non-finite float."""
     if isinstance(value, Record):
@@ -56,7 +56,7 @@ def plain(value):
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             value = np.where(np.isfinite(value), value, None)
         return value.tolist()
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(k): plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
@@ -69,13 +69,15 @@ class Record:
     """Mixin for a dataclass record: its JSON form is each field through
     :func:`plain`, and it pickles and copies as a call of its constructor
     on its init fields, so the copy is checked again, holds sealed arrays
-    (:func:`frozen`) and carries nothing off the fields, such as a memo."""
+    (:func:`frozen`) and carries nothing off the fields, such as a memo; a
+    read-only mapping goes to the constructor as a dict."""
 
     def to_dict(self) -> dict:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        args = (getattr(self, f.name) for f in fields(self) if f.init)
+        return type(self), tuple(dict(a) if isinstance(a, Mapping) else a for a in args)
 
 
 class _Sealed:
@@ -225,9 +227,10 @@ class FiniteMetricSpace(Record):
     """A finite pseudo-metric space backed by a full distance table.
 
     Construction refuses a table that is not square, holds a nan, an infinity or a
-    negative entry, has a nonzero diagonal (:func:`check_entries`) or is not exactly
-    symmetric (:func:`check_symmetry`), both at tolerance 0, with a ``ValueError``, so a
-    read may take d(y, x) from row x; the triangle check is :func:`from_distance_matrix`'s.
+    negative entry, has a nonzero diagonal or is not exactly symmetric
+    (:func:`check_table` at tolerance 0) with a ``ValueError``, so a read may take
+    d(y, x) from row x; the triangle check is :func:`from_distance_matrix`'s. Every read
+    of the table is a :meth:`block`.
 
     ``_memo`` holds the results :meth:`memo` serves, weakly. It is no
     field: ``==``, ``repr`` and every walk of the fields leave it out."""
@@ -237,8 +240,7 @@ class FiniteMetricSpace(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "dist", frozen(self.dist, np.float64))
-        check_entries(self.dist, 0.0)
-        check_symmetry(self.dist, 0.0)
+        check_table(self.dist, 0.0)
         object.__setattr__(self, "_memo", weakref.WeakValueDictionary())
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
@@ -250,7 +252,7 @@ class FiniteMetricSpace(Record):
         return self.dist.shape[0]
 
     def d(self, x: int, y: int) -> float:
-        return float(self.dist[tuple(check_point_ids(self, (x, y)))])
+        return float(self.block(*check_point_ids(self, (x, y))))
 
     def block(self, rows, cols=None) -> np.ndarray:
         """The fresh table at ``rows`` and ``cols``, rows first: the one read of the table.
@@ -267,7 +269,7 @@ class FiniteMetricSpace(Record):
         return record
 
     def diameter(self) -> float:
-        return float(self.dist.max(initial=0.0))
+        return float(max((self.block(rows).max() for rows in row_blocks(self.n)), default=0.0))
 
     def label_of(self, x: int) -> str:
         x = check_point_id(self, x)
@@ -301,56 +303,9 @@ class MetricValidationReport(Record):
         return {**super().to_dict(), "verdict": "pass" if self.verdict else "fail"}
 
 
-def check_entries(arr: np.ndarray, tolerance: float) -> tuple[float, float]:
-    """The one check of a table's cheap axioms: refuse a table that is not
-    square (``ValueError``), or holds a nan or an infinity
-    (``NonFiniteEntry``), an entry below -``tolerance``
-    (``NegativeEntryError``) or a diagonal entry beyond ``tolerance``
-    (``DiagonalError``), naming the first offending entry in row-major
-    order, a non-finite one before a negative one. Return the worst
-    negative and diagonal deviations. A min and a max reduction decide;
-    the witness is searched only on failure."""
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"distance table must be square, got shape {arr.shape}")
-    # a nan propagates through both reductions
-    low, high = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
-    finite = math.isfinite(low) and math.isfinite(high)
-    diagonal = np.abs(np.diagonal(arr))
-    worst_diagonal = float(diagonal.max(initial=0.0))
-    if finite and within(-low, 0.0, tolerance) and within(worst_diagonal, 0.0, tolerance):
-        return max(0.0, -low), worst_diagonal
-    bad = ~within(-arr, 0.0, tolerance) if finite else ~np.isfinite(arr)
-    if bad.any():
-        i, j = (int(k) for k in np.argwhere(bad)[0])
-        value = float(arr[i, j])
-        message = f"distance ({i}, {j}) = {value} is not a finite number >= 0"
-        if not finite:
-            raise NonFiniteEntry(message, pair=[i, j])
-        raise NegativeEntryError(message, pair=[i, j], value=value)
-    i = int(np.argmax(~within(diagonal, 0.0, tolerance)))
-    raise DiagonalError(f"distance ({i}, {i}) = {float(arr[i, i])} is not 0",
-                        point=i, value=float(arr[i, i]))
-
-
 def row_blocks(n: int) -> list[slice]:
     """The ``BLOCK_ROWS``-row slices of an n-row table, read at call time: the one row walk."""
     return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
-
-
-def check_symmetry(arr: np.ndarray, tolerance: float) -> float:
-    """The one symmetry rule, for a table that passed :func:`check_entries`: 0.0 when each
-    :func:`row_blocks` tile equals its mirror, decided with no n x n temporary; else its
-    worst |d(x, y) - d(y, x)|, or beyond ``tolerance`` ``AsymmetryError`` naming the first
-    row-major pair attaining it."""
-    tiles = row_blocks(len(arr))
-    if all(np.array_equal(arr[r, c], arr[c, r].T)
-           for k, r in enumerate(tiles) for c in tiles[k:]):
-        return 0.0
-    worst, (i, j) = max_over_rows(len(arr), lambda rows: np.abs(arr[rows] - arr.T[rows]))
-    if exceeds(worst, 0.0, tolerance):
-        raise AsymmetryError(f"d({i},{j}) = {arr[i, j]} but d({j},{i}) = {arr[j, i]}",
-                             pair=[i, j], values=[float(arr[i, j]), float(arr[j, i])])
-    return worst
 
 
 def max_over_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[float, tuple[int, int]]:
@@ -364,6 +319,42 @@ def max_over_rows(n: int, block: Callable[[slice], np.ndarray]) -> tuple[float, 
         if gap[i, j] > worst:
             worst, witness = float(gap[i, j]), (rows.start + int(i), int(j))
     return worst, witness
+
+
+def check_table(arr: np.ndarray, tolerance: float) -> tuple[float, float, float]:
+    """The one check of a table: refuse one that is not square (``ValueError``), then name
+    its first row-major nan or infinity (``NonFiniteEntry``), else entry below -``tolerance``
+    (``NegativeEntryError``), then its first diagonal entry beyond ``tolerance``
+    (``DiagonalError``), then the first pair attaining its worst |d(x, y) - d(y, x)| beyond
+    ``tolerance`` (``AsymmetryError``). Return the worst negative, diagonal and asymmetric
+    deviations. A min and a max reduction, the diagonal and a comparison of each
+    :func:`row_blocks` tile with its mirror decide; :func:`max_over_rows` finds a witness."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"distance table must be square, got shape {arr.shape}")
+    # a nan propagates through both reductions
+    low, high = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+    if not (math.isfinite(low) and math.isfinite(high) and within(-low, 0.0, tolerance)):
+        rank, (i, j) = max_over_rows(len(arr), lambda rows: np.where(  # non-finite ranks first
+            np.isfinite(arr[rows]), ~within(-arr[rows], 0.0, tolerance), np.int8(2)))
+        value = float(arr[i, j])
+        message = f"distance ({i}, {j}) = {value} is not a finite number >= 0"
+        if rank == 2:
+            raise NonFiniteEntry(message, pair=[i, j])
+        raise NegativeEntryError(message, pair=[i, j], value=value)
+    diagonal = np.abs(np.diagonal(arr))
+    worst_diagonal = float(diagonal.max(initial=0.0))
+    if exceeds(worst_diagonal, 0.0, tolerance):
+        i = int(np.argmax(~within(diagonal, 0.0, tolerance)))
+        raise DiagonalError(f"distance ({i}, {i}) = {float(arr[i, i])} is not 0",
+                            point=i, value=float(arr[i, i]))
+    tiles, worst = row_blocks(len(arr)), 0.0
+    if not all(np.array_equal(arr[r, c], arr[c, r].T)
+               for k, r in enumerate(tiles) for c in tiles[k:]):
+        worst, (i, j) = max_over_rows(len(arr), lambda rows: np.abs(arr[rows] - arr.T[rows]))
+        if exceeds(worst, 0.0, tolerance):
+            raise AsymmetryError(f"d({i},{j}) = {arr[i, j]} but d({j},{i}) = {arr[j, i]}",
+                                 pair=[i, j], values=[float(arr[i, j]), float(arr[j, i])])
+    return max(0.0, -low), worst_diagonal, worst
 
 
 def threshold_graph(space: FiniteMetricSpace, c: float):
@@ -417,8 +408,8 @@ def from_distance_matrix(
 ) -> tuple[FiniteMetricSpace, MetricValidationReport]:
     """Validate a raw distance table and build a space from it.
 
-    Checks run in order: the cheap axioms (:func:`check_entries`), symmetry
-    (:func:`check_symmetry`), triangle inequality. Violations beyond ``tolerance``
+    Checks run in order: the table's entries, diagonal and symmetry
+    (:func:`check_table`), then the triangle inequality. Violations beyond ``tolerance``
     raise, naming an offending pair or triple; deviations within
     tolerance are repaired (entries clamped, table symmetrized as
     ``t / 2 + t.T / 2``, which no entry can overflow; diagonal zeroed).
@@ -426,8 +417,7 @@ def from_distance_matrix(
     """
     tolerance = check_scale(tolerance, "tolerance")
     arr = np.asarray(table, dtype=np.float64)
-    worst_negative, worst_diagonal = check_entries(arr, tolerance)
-    worst_asymmetry = check_symmetry(arr, tolerance)
+    worst_negative, worst_diagonal, worst_asymmetry = check_table(arr, tolerance)
 
     repaired = arr / 2.0
     for rows in row_blocks(len(arr)):
@@ -487,7 +477,7 @@ def line_space(n: int) -> FiniteMetricSpace:
 def closed_ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:
     """Indices of the closed ball {y : d(x,y) <= radius}, sorted."""
     radius = check_scale(radius, "ball radius")
-    return np.flatnonzero(space.dist[check_point_id(space, x)] <= radius)
+    return np.flatnonzero(space.block(check_point_id(space, x)) <= radius)
 
 
 def separation_of(space: FiniteMetricSpace, members: Sequence[int]) -> float:

@@ -62,11 +62,20 @@ MUTANTS = {
         "for name, (claimed, measured) in bounds.items()\n",
         "for name, (claimed, measured) in list(bounds.items())[1:]\n")],
         ["test_maps.py", "test_nets.py"]),
-    "check_symmetry skips the diagonal tiles": ("space.py", [(
+    "check_table skips the diagonal tiles": ("space.py", [(
         "for c in tiles[k:]", "for c in tiles[k + 1:]")],
         ["test_space.py"]),
-    "check_symmetry compares only the diagonal tiles": ("space.py", [(
+    "check_table compares only the diagonal tiles": ("space.py", [(
         "for c in tiles[k:]", "for c in tiles[k:k + 1]")],
+        ["test_space.py"]),
+    "check_table ranks a negative entry above a non-finite one": ("space.py", [
+        ("~within(-arr[rows], 0.0, tolerance), np.int8(2)",
+         "2 * ~within(-arr[rows], 0.0, tolerance), np.int8(1)"),
+        ("        if rank == 2:", "        if rank == 1:")],
+        ["test_space.py"]),
+    "check_table's diagonal witness is the last offending point": ("space.py", [(
+        "i = int(np.argmax(~within(diagonal, 0.0, tolerance)))",
+        "i = len(diagonal) - 1 - int(np.argmax(~within(diagonal, 0.0, tolerance)[::-1]))")],
         ["test_space.py"]),
     "nearest_members ties to the highest member": ("space.py", [(
         "    by_id = np.sort(idx)\n", "    by_id = np.sort(idx)[::-1]\n")],
@@ -75,7 +84,8 @@ MUTANTS = {
         "        keep = w <= c\n", "        keep = w < c\n")],
         ["test_convexity.py"]),
     "closed_ball keeps d < radius only": ("space.py", [(
-        "[check_point_id(space, x)] <= radius)", "[check_point_id(space, x)] < radius)")],
+        "block(check_point_id(space, x)) <= radius)",
+        "block(check_point_id(space, x)) < radius)")],
         ["test_space.py"]),
     # the pulled-back walk and its users
     "the pulled-back scans swap min and max": ("maps.py", [
@@ -102,6 +112,12 @@ MUTANTS = {
     "_profile keeps within < r": ("maps.py", [(
         "reach[within <= r]", "reach[within < r]")],
         ["test_maps.py"]),
+    "measure_distortion's off test uses <": ("maps.py", [(
+        "return None if worst <= off else", "return None if worst < off else")],
+        ["test_maps.py"]),
+    "the disconnection witness reads only the first row block": ("convexity.py", [(
+        "~np.isfinite(cm.table[rows])", "~np.isfinite(cm.table[:rows.stop - rows.start])")],
+        ["test_convexity.py"]),
     "_profile resets its running maximum per block": ("maps.py", [(
         "np.maximum(best, [reach[within <= r].max(initial=0.0) for r in radii], out=best)",
         "best = np.array([reach[within <= r].max(initial=0.0) for r in radii])")],

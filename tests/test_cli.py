@@ -858,6 +858,15 @@ def test_header_only_point_cloud_exits_64(tmp_path):
     assert "n x d array, got shape (0,)" in result.stderr
 
 
+def test_a_non_finite_coordinate_exits_2_naming_its_point(tmp_path):
+    path = tmp_path / "cloud.csv"
+    path.write_text("0,0\n1,inf\n2,0\n")
+    result = run_cli("net", "--input", path, "--points", "--K", 1, check=False)
+    assert result.returncode == 2 and result.stdout == ""
+    assert json.loads(result.stderr) == {
+        "error": "NonFiniteCoordinate", "message": "non-finite coordinate in point 1", "point": 1}
+
+
 def test_a_first_row_holding_a_number_is_not_a_header(tmp_path):
     path = tmp_path / "typo.csv"
     path.write_text("0,x\n1,1\n2,2\n3,3\n")

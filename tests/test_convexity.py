@@ -325,6 +325,23 @@ def test_not_quasi_convex_at_small_scale():
     assert err.value.payload["witness"] == [0, 1]
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, 256])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_disconnection_witness_is_the_first_non_finite_chain_total(block_rows, value,
+                                                                     monkeypatch):
+    # the witness is the first non-finite entry in row-major order, in any row block: a
+    # chain table held for the space under its memo key, whose first rows are finite
+    monkeypatch.setattr(cg.space, "BLOCK_ROWS", block_rows)
+    line = cg.line_space(8)
+    table = line.dist.copy()
+    table[6, 2] = table[7, 1] = value
+    held = line.memo(("chain", 1.0), lambda: cg.ChainMetric(1.0, table, line))
+    with pytest.raises(NotQuasiConvexAtScale) as err:
+        cg.convexity_constants(line, 1.0)
+    assert cg.chain_metric(line, 1.0) is held
+    assert err.value.payload == {"c": 1.0, "witness": [6, 2]}
+
+
 def test_frontier_is_pareto(line10):
     frontier = cg.convexity_constants(line10, 2.0, [0.0, 1.0, 2.0, 4.0])
     slopes = [k.a for k in frontier]

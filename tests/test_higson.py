@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -302,6 +303,19 @@ def test_partition_extend_accepts_mapping(line10):
         line10, part, {int(x): float(x) for x in net.members}
     )
     assert extended.values.real.tolist() == [0, 0, 0, 3, 3, 3, 6, 6, 6, 9]
+
+
+@pytest.mark.parametrize("values, stray", [
+    ({0: 1.0}, "3 is missing"), ({3: 1.0, 0: 2.0, 4: 3.0}, "4 is no member"),
+    ({0: 1.0, 3: 2.0, "3": 3.0}, "'3' is no member"),
+])
+def test_partition_extend_takes_a_value_for_exactly_the_members(values, stray):
+    # a missing member escaped as a bare KeyError, and a value for another id was dropped
+    line = cg.line_space(5)
+    part = cg.borel_partition(line, [0, 3], 1.5)
+    with pytest.raises(ValueError, match=r"expected one value per member \(2\), keyed by id: "
+                                         + re.escape(stray) + "$"):
+        cg.partition_extend(line, part, values)
 
 
 def test_partition_gap_detected(line10):

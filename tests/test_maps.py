@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import re
 
@@ -551,6 +552,14 @@ def test_quasi_inverse_not_dense(line10):
     with pytest.raises(NotDense) as err:
         cg.quasi_inverse(line10, line10, [0] * 10, 3.0)
     assert err.value.payload["witness"] == 4
+
+
+def test_an_empty_image_is_not_dense():
+    # numpy's "zero-size array to reduction operation minimum" escaped
+    with pytest.raises(NotDense) as err:
+        cg.quasi_inverse(cg.line_space(0), cg.line_space(5), [], 1.0)
+    assert err.value.payload == {"N": 1.0, "witness": 0, "gap": math.inf}
+    assert json.loads(json.dumps(maps.plain(err.value.to_dict()), allow_nan=False))["gap"] is None
 
 
 def test_a_not_dense_refusal_holds_one_table_beside_its_hits():

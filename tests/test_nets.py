@@ -1,4 +1,6 @@
+import copy as copy_module
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -270,3 +272,22 @@ def test_borel_partition_order_must_enumerate_the_members(line10):
         cg.borel_partition(line10, net, 2.0, order=[0, 3])
     assert type(err.value) is ValueError
     assert str(err.value) == "order must enumerate exactly the net members"
+
+
+def test_a_partition_holds_its_cells_read_only():
+    # part.cells.clear() emptied the cells: to_dict() held none and cell_index all -1
+    line = cg.line_space(10)
+    part = cg.borel_partition(line, [0, 5], 4.0)
+    before = part.to_dict()
+    with pytest.raises(AttributeError):
+        part.cells.clear()
+    with pytest.raises(TypeError):
+        part.cells[0] = np.arange(10)
+    assert part.to_dict() == before and before["cells"] == {"0": [0, 1, 2, 3, 4],
+                                                            "5": [5, 6, 7, 8, 9]}
+    assert part.cell_index(10).tolist() == [0] * 5 + [5] * 5
+    # a copy goes through the constructor, which takes the cells as a dict
+    for twin in (pickle.loads(pickle.dumps(part, protocol=5)), copy_module.deepcopy(part)):
+        assert twin.to_dict() == before
+        with pytest.raises(TypeError):
+            twin.cells[5] = np.arange(10)

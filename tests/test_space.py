@@ -1,4 +1,5 @@
 import ast
+from collections.abc import Mapping
 import dataclasses
 import json
 import math
@@ -18,6 +19,7 @@ from coarsegeom.errors import (
     AsymmetryError,
     DiagonalError,
     NegativeEntryError,
+    NonFiniteCoordinate,
     NonFiniteEntry,
     NonPositiveScale,
     TooFewPoints,
@@ -129,7 +131,7 @@ def test_asymmetry_within_tolerance_symmetrized():
 
 def _old_asymmetry_scan(table):
     """The worst |d - d^T| and its first row-major pair, as from_distance_matrix found
-    them before check_symmetry."""
+    them before the tile check."""
     gap = np.abs(table - table.T)
     i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
     return float(gap[i, j]), [int(i), int(j)]
@@ -150,7 +152,7 @@ def test_every_builder_hands_the_constructor_an_exactly_symmetric_table(seed, n,
     # the repair symmetrizes before the constructor checks; the report keeps the old scan
     assert report.worst_asymmetry == (_old_asymmetry_scan(near)[0] if n else 0.0)
     for space in (cg.from_point_cloud(pts, kind), cg.line_space(n), repaired):
-        assert space_module.check_symmetry(space.dist, 0.0) == 0.0
+        assert space_module.check_table(space.dist, 0.0)[2] == 0.0
         assert space.dist.tobytes() == space.dist.T.tobytes()
 
 
@@ -422,6 +424,75 @@ def test_only_the_oracle_reads_a_whole_table():
                and getattr(node.func, "attr", None) == "block"
                and "slice(None)" in map(ast.unparse, node.args)}
     assert readers == {("maps.py", "min_distortion_bruteforce")}
+
+
+def _owners(tree: ast.AST, holds) -> set[str]:
+    """Qualified names of the innermost functions and classes of ``tree`` holding a node for
+    which ``holds`` is true; "" for one outside them."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{owner}.{child.name}".lstrip(".")
+                     if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner)
+            if holds(child):
+                found.add(inner)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_block_reads_a_built_table():
+    # d, diameter and closed_ball indexed the table, and two checks, check_entries then
+    # check_symmetry, took it whole: a backend serving rows overrides these three alone
+    readers = _owners(_modules()["space.py"],
+                      lambda node: isinstance(node, ast.Attribute) and node.attr == "dist")
+    assert readers == {"FiniteMetricSpace.__post_init__", "FiniteMetricSpace.n",
+                       "FiniteMetricSpace.block"}
+    # one witness kernel: the entry check and measure_distortion unraveled their own argmax
+    unravels = {(name, owner) for name, tree in _modules().items() for owner in _owners(
+        tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "unravel_index")}
+    assert unravels == {("space.py", "max_over_rows")}
+    assert not {"check_entries", "check_symmetry"} & set().union(*map(_names, _modules().values()))
+
+
+@pytest.mark.parametrize("planted, value, error, payload", [
+    ((1500, 3), -1.0, NegativeEntryError, {"pair": [3, 1500], "value": -1.0}),
+    ((1700, 1700), 0.5, DiagonalError, {"point": 1700, "value": 0.5}),
+    ((1999, 0), np.nan, NonFiniteEntry, {"pair": [0, 1999]}),
+])
+def test_a_refusal_holds_a_few_row_blocks_beyond_its_input(planted, value, error, payload):
+    # the entry check built n x n masks of the table: 8.8 row blocks for a negative entry
+    # or a nonzero diagonal entry
+    table = cg.line_space(2000).dist.copy()
+    table[planted] = table[planted[::-1]] = value
+    block = space_module.BLOCK_ROWS * table.shape[1] * table.itemsize
+
+    def refuse() -> dict:
+        with pytest.raises(error) as err:
+            cg.from_distance_matrix(table)
+        return err.value.payload
+
+    refused, peak = traced_peak(refuse)
+    assert refused == payload
+    assert peak <= 3 * block
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_coordinate_names_the_first_point_holding_one(value):
+    coords = np.zeros((5, 3))
+    coords[3, 2] = coords[4, 0] = value
+    with pytest.raises(NonFiniteCoordinate, match="^non-finite coordinate in point 3$") as err:
+        cg.from_point_cloud(coords)
+    assert err.value.payload == {"point": 3}
+
+
+def test_a_distance_past_the_float_range_is_refused_by_the_table_check():
+    # each coordinate is finite, but the euclidean distance overflows to inf
+    with pytest.raises(NonFiniteEntry, match=re.escape("distance (0, 1) = inf")) as err:
+        cg.from_point_cloud([[0.0, 0.0], [1e200, 1e200]])
+    assert err.value.payload == {"pair": [0, 1]}
 
 
 def test_only_space_names_the_block_size():
@@ -759,9 +830,9 @@ def test_check_entries_refuses_beyond_its_tolerance(tolerance, refused):
     table = np.array([[5e-10, -5e-10], [-5e-10, 0.0]])
     if refused:
         with pytest.raises(NegativeEntryError):
-            space_module.check_entries(table, tolerance)
+            space_module.check_table(table, tolerance)
     else:
-        assert space_module.check_entries(table, tolerance) == (5e-10, 5e-10)
+        assert space_module.check_table(table, tolerance) == (5e-10, 5e-10, 0.0)
 
 
 def test_within_compares_numbers_and_arrays_alike():
@@ -1020,12 +1091,12 @@ def test_a_record_unpickles_through_its_constructor(name):
 
 
 def _record_arrays(value) -> list[np.ndarray]:
-    """Every array ``value`` holds: a record's fields, nested records, dicts and sequences."""
+    """Every array ``value`` holds: a record's fields, nested records, mappings and sequences."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, space_module.Record):
         value = [getattr(value, f.name) for f in dataclasses.fields(value)]
-    elif isinstance(value, dict):
+    elif isinstance(value, Mapping):
         value = list(value.values())
     if isinstance(value, (list, tuple)):
         return [arr for v in value for arr in _record_arrays(v)]
@@ -1070,6 +1141,14 @@ def _every_record():
         records[f"{name} of writable arrays"] = build(*(np.array(a) for a in arrays))
         records[f"{name} of read-only arrays"] = build(*(_read_only(a) for a in arrays))
     return records
+
+
+def test_the_array_walk_reaches_every_cell_of_a_partition():
+    # the cells are a read-only mapping, not a dict; a walk that missed them saw one array
+    part = _every_record()["borel_partition"]
+    arrays = _record_arrays(part)
+    assert len(arrays) == len(part.cells) + 1
+    assert all(any(arr is cell for arr in arrays) for cell in part.cells.values())
 
 
 @pytest.mark.parametrize("name", sorted(_every_record()))
