@@ -67,55 +67,3 @@ from .space import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BRUTEFORCE_CAP",
-    "BorelPartition",
-    "BoundedFunction",
-    "ChainMetric",
-    "CoarseGeomError",
-    "ConvexityConstants",
-    "DecayProfile",
-    "DistortionReport",
-    "EquivalencePair",
-    "ExpansionField",
-    "FiniteMetricSpace",
-    "GeodesicGraph",
-    "LargeScaleMap",
-    "MetricValidationReport",
-    "Net",
-    "NetBijection",
-    "additive_slack",
-    "borel_partition",
-    "bump_function",
-    "build_geodesic_graph",
-    "certify_equivalence",
-    "chain_metric",
-    "closed_ball",
-    "closeness_gap",
-    "convexity_constants",
-    "cover_radius_of",
-    "decay_profile",
-    "displacement",
-    "expansion",
-    "expansiveness_profile",
-    "extend_net_map",
-    "from_distance_matrix",
-    "from_point_cloud",
-    "greedy_separated_net",
-    "large_scale_map",
-    "line_space",
-    "load_distance_matrix_csv",
-    "load_point_cloud_csv",
-    "ls_constants_from_expansive",
-    "make_net_bijection",
-    "measure_distortion",
-    "min_distortion_bruteforce",
-    "net_from_members",
-    "partition_extend",
-    "properness_profile",
-    "quasi_inverse",
-    "refine_net",
-    "restrict_equivalence",
-    "separation_of",
-]

@@ -412,10 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, handler, spaces=1, formats=("json",)):
+    def sub(name, handler, spaces=1, formats=("json",), tables=True):
         """A subcommand whose handler takes the parsed arguments and its
         ``spaces`` loaded spaces, writing one of ``formats`` (the first
-        by default)."""
+        by default); one that ``tables`` reads a distance table takes a tolerance."""
         p = subs.add_parser(name)
         for suffix, text in (("", "space CSV (distance matrix)"),
                              ("2", "second space CSV"))[:spaces]:
@@ -426,9 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=list(METRICS))
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--tolerance", type=_tolerance_arg, default=None,
-                       help=f"validation tolerance, a finite number >= 0 "
-                            f"(default: ${TOLERANCE_ENV}, else {DEFAULT_TOLERANCE})")
+        if tables:
+            p.add_argument("--tolerance", type=_tolerance_arg, default=None,
+                           help=f"validation tolerance, a finite number >= 0 "
+                                f"(default: ${TOLERANCE_ENV}, else {DEFAULT_TOLERANCE})")
         p.set_defaults(handler=handler, spaces=spaces)
         return p
 
@@ -505,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub("oracle", _cmd_oracle, spaces=2)
 
-    p = sub("demo-n2n3", _cmd_demo_n2n3, spaces=0, formats=("json", "csv"))
+    p = sub("demo-n2n3", _cmd_demo_n2n3, spaces=0, formats=("json", "csv"), tables=False)
     p.add_argument("--kmax", type=int, default=7)
     p.add_argument("--truncation", type=int, default=20,
                    help="truncation size for the profile scans")
@@ -516,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tolerance is None:
+    if "tolerance" in args and args.tolerance is None:
         args.tolerance = _env_tolerance(parser)
     try:
         args.handler(args, *(_load_space(args, s) for s in ("", "2")[:args.spaces]))

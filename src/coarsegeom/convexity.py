@@ -6,9 +6,9 @@ Chains are realized as shortest paths in the threshold graph whose
 edges join points at distance <= c, weighted by the ambient distance.
 ``space.threshold_graph`` builds it from row blocks, with no n x n mask.
 The table is symmetric, so the graph holds both directions of every edge
-and one directed search relaxes each edge once. The skeleton construction
-then puts unit edges between net points at distance <= 3c and certifies
-both comparison bounds
+and one directed search relaxes each edge once. The skeleton takes the
+same graph at 3c on a net's own space, counts its edges as unit hops and
+certifies both comparison bounds
 
     hop(x, y) <= ((a*c + b) / c^2) * d(x, y)
     d(x, y)   <= 3c * hop(x, y)
@@ -175,6 +175,7 @@ def build_geodesic_graph(
     metric, choosing the frontier pair minimizing the claimed slope
     (a*c + b) / c^2.
     """
+    from scipy.sparse import triu
     from scipy.sparse.csgraph import shortest_path
 
     c = check_scale(c, "scale c", positive=True)
@@ -186,11 +187,12 @@ def build_geodesic_graph(
 
     net = greedy_separated_net(space, c, order)
     members = net.members
-    sub = space.block(members, members)
-    adjacency = sub <= 3.0 * c
-    edges = members[np.argwhere(np.triu(adjacency, k=1))].tolist()
+    sub = hand_over(space.block(members, members))
+    graph = threshold_graph(FiniteMetricSpace(sub), 3.0 * c)
+    upper = triu(graph, k=1)  # row-major: the CSR rows, each with ascending columns
+    edges = members[np.column_stack((upper.row, upper.col))].tolist()
 
-    hop = shortest_path(adjacency.astype(np.int8), method="D", unweighted=True, directed=True)
+    hop = shortest_path(graph, method="D", unweighted=True, directed=True)
     if not np.isfinite(hop).all():
         _, (i, j) = max_over_rows(len(hop), lambda rows: ~np.isfinite(hop[rows]))
         raise GraphDisconnected(

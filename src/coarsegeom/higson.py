@@ -43,11 +43,17 @@ class BoundedFunction(Record):
     def __len__(self) -> int:
         return len(self.values)
 
+    def _values_beside(self, other: "BoundedFunction") -> np.ndarray:
+        """``other``'s values, refused unless it is a function on as many points."""
+        if len(other) != len(self):
+            raise ValueError(f"function has {len(other)} values for {len(self)} points")
+        return other.values
+
     def __add__(self, other: "BoundedFunction") -> "BoundedFunction":
-        return BoundedFunction(self.values + other.values)
+        return BoundedFunction(self.values + self._values_beside(other))
 
     def __mul__(self, other: "BoundedFunction") -> "BoundedFunction":
-        return BoundedFunction(self.values * other.values)
+        return BoundedFunction(self.values * self._values_beside(other))
 
     def compose(self, mapping: Sequence[int]) -> "BoundedFunction":
         """Pullback along a map into this function's space; an id that

@@ -536,12 +536,14 @@ def quasi_inverse(
 
     Requires the image of ``mapping`` to be N-dense, each distance
     :func:`space.within` N; the selection is the first qualifying
-    preimage point in ``order``, a permutation.
+    preimage point in ``order``, a permutation. That is the first point of
+    its image in ``order``, so one range row is read per image.
     """
     N = check_scale(N, "N")
     m = _mapping_array(dom, rng, mapping)
     scan = _as_order(dom, order)
-    rows = rng.block(m[scan])
+    heads = scan[np.sort(np.unique(m[scan], return_index=True)[1])]  # each image's first
+    rows = rng.block(m[heads])
     hits = within(rows, N)
     covered = hits.any(axis=0)
     if not covered.all():
@@ -554,7 +556,7 @@ def quasi_inverse(
             witness=witness,
             gap=gap,
         )
-    return scan[np.argmax(hits, axis=0)]
+    return heads[np.argmax(hits, axis=0)] if heads.size else heads  # two empty spaces
 
 
 def min_distortion_bruteforce(

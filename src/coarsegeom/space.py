@@ -471,7 +471,8 @@ def from_point_cloud(
 def line_space(n: int) -> FiniteMetricSpace:
     """The integer segment {0, ..., n-1} with |i - j|."""
     idx = np.arange(n, dtype=np.float64)
-    return FiniteMetricSpace(hand_over(np.abs(idx[:, None] - idx[None, :])))
+    table = idx[:, None] - idx[None, :]
+    return FiniteMetricSpace(hand_over(np.abs(table, out=table)))
 
 
 def closed_ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:

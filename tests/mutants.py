@@ -115,6 +115,13 @@ MUTANTS = {
     "measure_distortion's off test uses <": ("maps.py", [(
         "return None if worst <= off else", "return None if worst < off else")],
         ["test_maps.py"]),
+    "quasi_inverse keeps the last point of each image": ("maps.py", [(
+        "scan[np.sort(np.unique(m[scan], return_index=True)[1])]",
+        "scan[np.sort(len(scan) - 1 - np.unique(m[scan][::-1], return_index=True)[1])]")],
+        ["test_maps.py"]),
+    "the skeleton's edges include the diagonal": ("convexity.py", [(
+        "triu(graph, k=1)", "triu(graph, k=0)")],
+        ["test_convexity.py"]),
     "the disconnection witness reads only the first row block": ("convexity.py", [(
         "~np.isfinite(cm.table[rows])", "~np.isfinite(cm.table[:rows.stop - rows.start])")],
         ["test_convexity.py"]),

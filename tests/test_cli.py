@@ -341,6 +341,16 @@ def test_demo_n2n3_small():
     assert [k for k, _ in blob["C_star"]] == [2, 3, 4]
 
 
+def test_demo_n2n3_takes_no_tolerance(monkeypatch, capsys):
+    # it reads no table: a bad $COARSEGEOM_TOLERANCE refused it, and --tolerance was ignored
+    monkeypatch.setenv("COARSEGEOM_TOLERANCE", "abc")
+    assert cli.main(["demo-n2n3", "--kmax", "3", "--truncation", "3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo-n2n3", "--kmax", "3", "--truncation", "3", "--tolerance", "5"])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --tolerance 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,low", [("--kmax", 2), ("--truncation", 1)])
 @pytest.mark.parametrize("value", [-1, 0, 1])
 def test_demo_n2n3_refuses_a_size_below_its_floor(flag, low, value):

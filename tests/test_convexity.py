@@ -562,6 +562,27 @@ def test_the_skeleton_reuses_a_held_chain_metric(line10, monkeypatch):
     assert report["constants"] == {"a": 1.0, "b": 0.0, "c": 1.0}
 
 
+def test_the_skeleton_takes_its_edges_from_the_threshold_graph_at_3c(monkeypatch):
+    # the skeleton built its own dense k x k mask beside the one threshold graph
+    from coarsegeom import convexity
+
+    space = cg.from_point_cloud(np.random.default_rng(4).uniform(0.0, 10.0, size=(60, 2)))
+    calls, threshold_graph = [], convexity.threshold_graph
+
+    def spying(net_space, c):
+        graph = threshold_graph(net_space, c)
+        calls.append((net_space, c, graph))
+        return graph
+
+    monkeypatch.setattr(convexity, "threshold_graph", spying)
+    skeleton, _ = cg.build_geodesic_graph(space, 1.5, constants=cg.ConvexityConstants(4.0, 3.0, 1.5))
+    members = skeleton.vertices.members
+    (net_space, c, graph), = calls
+    assert c == 4.5 and net_space.dist.tobytes() == space.block(members, members).tobytes()
+    pairs = [(int(members[i]), int(members[j])) for i, j in zip(*graph.nonzero()) if i < j]
+    assert skeleton.edges == tuple(pairs) and pairs
+
+
 def test_the_memo_is_no_field_of_the_space(line10):
     # the benchmark's fingerprint walks the fields: a weakref there would differ each round
     cg.chain_metric(line10, 1.0)

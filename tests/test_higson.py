@@ -132,6 +132,15 @@ def test_monotone_in_radius(seed, r1, r2):
     assert (small <= large + ALGEBRA_TOL).all()
 
 
+@pytest.mark.parametrize("lengths", [(1, 3), (3, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("op", ["__add__", "__mul__"])
+def test_arithmetic_refuses_functions_on_different_spaces(lengths, op):
+    # 1 and 3 values broadcast to a 3-valued function; 2 and 3 escaped from numpy
+    f, g = (cg.BoundedFunction(np.arange(1.0, k + 1.0)) for k in lengths)
+    with pytest.raises(ValueError, match=rf"^function has {lengths[1]} values for {lengths[0]} points$"):
+        getattr(f, op)(g)
+
+
 def test_compose_refuses_ids_off_the_space():
     f = cg.BoundedFunction(np.arange(10.0))
     assert f.compose([9, 0, 1]).values.real.tolist() == [9.0, 0.0, 1.0]

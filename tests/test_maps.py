@@ -576,6 +576,24 @@ def test_a_not_dense_refusal_holds_one_table_beside_its_hits():
     assert peak <= 1.05 * (8 + 1) * n * n
 
 
+def test_quasi_inverse_of_two_empty_spaces_is_the_empty_map():
+    # numpy's "attempt to get argmax of an empty sequence" escaped
+    psi = cg.quasi_inverse(cg.line_space(0), cg.line_space(0), [], 1.0)
+    assert psi.shape == (0,)
+
+
+def test_quasi_inverse_reads_one_range_row_per_image():
+    # the range rows of all 2000 domain points made the peak 1.25 tables
+    space = cg.from_point_cloud(np.random.default_rng(7).uniform(0.0, 100.0, size=(2000, 2)))
+    net = cg.greedy_separated_net(space, 5.0)
+    mapping = cg.space.nearest_members(space, net.members)[0]
+    assert np.unique(mapping).size == 225
+    psi, peak = traced_peak(cg.quasi_inverse, space, space, mapping, 5.0)
+    assert peak <= 0.3 * space.dist.nbytes
+    # the first point within 5.0 of each range point, from every domain point's row
+    assert psi.tolist() == np.argmax(cg.space.within(space.block(mapping), 5.0), axis=0).tolist()
+
+
 def test_quasi_inverse_order_must_be_a_permutation(line10):
     # [0] * 10 scanned point 0 only and raised NotDense with a witness
     # lying at distance 0 from the image
@@ -589,6 +607,17 @@ def test_quasi_inverse_respects_order(line10):
     first = cg.quasi_inverse(evens, line10, mapping, 1.0)
     last = cg.quasi_inverse(evens, line10, mapping, 1.0, order=[4, 3, 2, 1, 0])
     assert first[1] == 0 and last[1] == 1  # 1 is within 1 of both 0 and 2
+
+
+@pytest.mark.parametrize("order, expected", [
+    (None, [0, 2, 4]),
+    ([1, 0, 3, 2, 5, 4], [1, 3, 5]),
+    ([5, 3, 1, 4, 2, 0], [1, 3, 5]),
+])
+def test_quasi_inverse_picks_the_first_point_of_an_image_in_order(order, expected):
+    # every point of an image qualifies where its first one does
+    psi = cg.quasi_inverse(cg.line_space(6), cg.line_space(3), [0, 0, 1, 1, 2, 2], 0.0, order)
+    assert psi.tolist() == expected
 
 
 # --- brute-force oracle ---

@@ -365,6 +365,14 @@ def test_a_point_cloud_table_peaks_at_one_table():
     assert peak <= 1.1 * space.dist.nbytes
 
 
+def test_a_line_table_is_built_in_place():
+    # abs of the difference table allocated a second table: a peak of 2.0 tables
+    line, peak = traced_peak(cg.line_space, 2000)
+    assert peak <= 1.1 * line.dist.nbytes
+    idx = np.arange(2000.0)
+    assert line.dist.tobytes() == np.abs(idx[:, None] - idx[None, :]).tobytes()
+
+
 block_ids = st.lists(st.integers(0, 11), max_size=14)
 
 
