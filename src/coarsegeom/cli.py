@@ -254,10 +254,8 @@ def _emit(args, payload, csv_rows=None, dot_text=None):
 
 # --- subcommand handlers ---
 
-def _cmd_validate(args):
-    table, labels = load_distance_matrix_csv(args.input)
-    space, report = from_distance_matrix(table, args.tolerance, labels)
-    _emit(args, {"n": space.n, "report": report})
+def _cmd_validate(args, space):
+    _emit(args, {"n": space.n, "report": space.validation})
 
 
 def _cmd_net(args, space):
@@ -412,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, handler, spaces=1, formats=("json",), tables=True):
+    def sub(name, handler, spaces=1, formats=("json",)):
         """A subcommand whose handler takes the parsed arguments and its
         ``spaces`` loaded spaces, writing one of ``formats`` (the first
-        by default); one that ``tables`` reads a distance table takes a tolerance."""
+        by default); one that loads a space takes a tolerance."""
         p = subs.add_parser(name)
         for suffix, text in (("", "space CSV (distance matrix)"),
                              ("2", "second space CSV"))[:spaces]:
@@ -426,15 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=list(METRICS))
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=formats, default=formats[0])
-        if tables:
+        if spaces > 0:
             p.add_argument("--tolerance", type=_tolerance_arg, default=None,
                            help=f"validation tolerance, a finite number >= 0 "
                                 f"(default: ${TOLERANCE_ENV}, else {DEFAULT_TOLERANCE})")
         p.set_defaults(handler=handler, spaces=spaces)
         return p
 
-    sub("validate", _cmd_validate, spaces=0).add_argument(
-        "--input", required=True, help="distance matrix CSV")
+    sub("validate", _cmd_validate)
 
     p = sub("net", _cmd_net)
     p.add_argument("--K", type=float, required=True)
@@ -506,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub("oracle", _cmd_oracle, spaces=2)
 
-    p = sub("demo-n2n3", _cmd_demo_n2n3, spaces=0, formats=("json", "csv"), tables=False)
+    p = sub("demo-n2n3", _cmd_demo_n2n3, spaces=0, formats=("json", "csv"))
     p.add_argument("--kmax", type=int, default=7)
     p.add_argument("--truncation", type=int, default=20,
                    help="truncation size for the profile scans")

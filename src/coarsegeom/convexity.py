@@ -151,6 +151,7 @@ class GeodesicGraph(Record):
         lines = ["graph geodesic_skeleton {"]
         for v in self.vertices.members:
             label = space.label_of(int(v)) if space is not None else str(int(v))
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {int(v)} [label="{label}"];')
         for u, v in self.edges:
             lines.append(f"  {u} -- {v};")

@@ -1,10 +1,10 @@
 """Finite pseudo-metric spaces as validated distance tables.
 
 A space is an ``n x n`` symmetric table of nonnegative float64 distances
-with zero diagonal, checked on every construction, and the triangle
-inequality, validated at ingestion time (:func:`from_distance_matrix`) or
-guaranteed by construction (:func:`from_point_cloud`). Distinct points at
-distance 0 are allowed.
+with zero diagonal, checked on every construction. Its ``validation`` records
+whether the triangle inequality was checked: measured at ingestion time
+(:func:`from_distance_matrix`), exact for :func:`line_space`, else unchecked.
+Distinct points at distance 0 are allowed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import hashlib
 import math
 import numbers
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -229,18 +229,19 @@ class FiniteMetricSpace(Record):
     Construction refuses a table that is not square, holds a nan, an infinity or a
     negative entry, has a nonzero diagonal or is not exactly symmetric
     (:func:`check_table` at tolerance 0) with a ``ValueError``, so a read may take
-    d(y, x) from row x; the triangle check is :func:`from_distance_matrix`'s. Every read
-    of the table is a :meth:`block`.
+    d(y, x) from row x. Every read of the table is a :meth:`block`.
 
-    ``_memo`` holds the results :meth:`memo` serves, weakly. It is no
-    field: ``==``, ``repr`` and every walk of the fields leave it out."""
+    ``validation`` is the :class:`MetricValidationReport` of that check, with no triangle
+    check, unless a builder records its own. ``_memo`` holds the results :meth:`memo`
+    serves, weakly. Neither is a field, so ``==``, ``repr`` and a copy leave them out."""
 
     dist: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dist", frozen(self.dist, np.float64))
-        check_table(self.dist, 0.0)
+        negative, diagonal, asymmetry = check_table(self.dist, 0.0)
+        _validated(self, MetricValidationReport(asymmetry, None, negative, diagonal, 0.0))
         object.__setattr__(self, "_memo", weakref.WeakValueDictionary())
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
@@ -278,29 +279,27 @@ class FiniteMetricSpace(Record):
 
 @dataclass(frozen=True)
 class MetricValidationReport(Record):
-    """Worst-case deviations from the metric axioms, plus a verdict."""
+    """Worst deviations from the metric axioms that a table's check measured, each within its
+    ``tolerance``; the verdict is whether a triangle check ran, else its defect is None."""
 
     worst_asymmetry: float
-    worst_triangle_defect: float
+    worst_triangle_defect: float | None
     worst_negative: float
     worst_diagonal: float
     tolerance: float
-    verdict: bool = field(init=False)
 
-    def __post_init__(self):
-        ok = all(
-            within(v, 0.0, self.tolerance)
-            for v in (
-                self.worst_asymmetry,
-                self.worst_triangle_defect,
-                self.worst_negative,
-                self.worst_diagonal,
-            )
-        )
-        object.__setattr__(self, "verdict", ok)
+    @property
+    def verdict(self) -> bool:
+        return self.worst_triangle_defect is not None
 
     def to_dict(self) -> dict:
-        return {**super().to_dict(), "verdict": "pass" if self.verdict else "fail"}
+        return {**super().to_dict(), "verdict": "pass" if self.verdict else "unchecked"}
+
+
+def _validated(space: FiniteMetricSpace, report: MetricValidationReport) -> FiniteMetricSpace:
+    """``space``, a fresh one, recording ``report`` as its ``validation``: the one setter."""
+    object.__setattr__(space, "validation", report)
+    return space
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -439,7 +438,7 @@ def from_distance_matrix(
         worst_asymmetry=worst_asymmetry, worst_triangle_defect=max(defect, 0.0),
         worst_negative=worst_negative, worst_diagonal=worst_diagonal, tolerance=tolerance)
     labels = None if labels is None else tuple(labels)
-    return FiniteMetricSpace(repaired, labels=labels), report
+    return _validated(FiniteMetricSpace(repaired, labels=labels), report), report
 
 
 def from_point_cloud(
@@ -449,7 +448,8 @@ def from_point_cloud(
     """Build the space of rows of ``coords`` under a norm-induced metric.
 
     ``coords`` is an n x d array; ``metric_kind`` is one of euclidean,
-    manhattan, chebyshev. The result passes validation by construction.
+    manhattan, chebyshev. The table is symmetric with a zero diagonal by construction,
+    and the space records no triangle check.
     """
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim != 2:
@@ -469,10 +469,11 @@ def from_point_cloud(
 
 
 def line_space(n: int) -> FiniteMetricSpace:
-    """The integer segment {0, ..., n-1} with |i - j|."""
+    """The integer segment {0, ..., n-1} with |i - j|; exact integers, triangle defect 0."""
     idx = np.arange(n, dtype=np.float64)
     table = idx[:, None] - idx[None, :]
-    return FiniteMetricSpace(hand_over(np.abs(table, out=table)))
+    space = FiniteMetricSpace(hand_over(np.abs(table, out=table)))
+    return _validated(space, MetricValidationReport(0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def closed_ball(space: FiniteMetricSpace, x: int, radius: float) -> np.ndarray:

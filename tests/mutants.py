@@ -129,6 +129,22 @@ MUTANTS = {
         "np.maximum(best, [reach[within <= r].max(initial=0.0) for r in radii], out=best)",
         "best = np.array([reach[within <= r].max(initial=0.0) for r in radii])")],
         ["test_maps.py"]),
+    # the validation record and the DOT writer
+    "line_space records no triangle check": ("space.py", [(
+        "    return _validated(space, MetricValidationReport(0.0, 0.0, 0.0, 0.0, 0.0))",
+        "    return space")],
+        ["test_space.py"]),
+    "from_distance_matrix records the constructor's check": ("space.py", [(
+        "return _validated(FiniteMetricSpace(repaired, labels=labels), report), report",
+        "return FiniteMetricSpace(repaired, labels=labels), report")],
+        ["test_space.py"]),
+    "the verdict ignores the triangle check": ("space.py", [(
+        "return self.worst_triangle_defect is not None", "return True")],
+        ["test_space.py", "test_cli.py"]),
+    "to_dot escapes no backslash": ("convexity.py", [(
+        r"""label.replace("\\", "\\\\").replace('"', '\\"')""",
+        r"""label.replace('"', '\\"')""")],
+        ["test_convexity.py"]),
 }
 
 

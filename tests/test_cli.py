@@ -239,6 +239,23 @@ def test_graph_dot_and_certificate(line10_csv):
     assert blob["certificate"]["pass"] is True
 
 
+def test_graph_dot_escapes_the_labels_of_a_csv_header(tmp_path):
+    path = tmp_path / "labelled.csv"
+    path.write_text('"a""1",x,b\\\n0,1,2\n1,0,1\n2,1,0\n')
+    dot = run_cli("graph", "--input", path, "--c", 1, "--format", "dot").stdout
+    assert dot.splitlines()[1:3] == ['  0 [label="a\\"1"];', '  2 [label="b\\\\"];']
+
+
+def test_validate_reports_a_point_cloud_as_unchecked(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("x,y\n0,0\n3,4\n3,4\n")
+    result = run_cli("validate", "--input", path, "--points")
+    assert result.returncode == 0
+    assert json.loads(result.stdout) == {"n": 3, "report": {
+        "worst_asymmetry": 0.0, "worst_triangle_defect": None, "worst_negative": 0.0,
+        "worst_diagonal": 0.0, "tolerance": 0.0, "verdict": "unchecked"}}
+
+
 def test_expansion_decay_bump_pipeline(line10_csv, tmp_path):
     fn_path = tmp_path / "fn.csv"
     fn_path.write_text("\n".join(str(x * x) for x in range(10)) + "\n")

@@ -397,6 +397,14 @@ def test_skeleton_dot_and_json_exports(line21):
     assert blob["vertices"]["members"] == list(range(0, 21, 2))
 
 
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    # a label ending in a backslash escaped its own closing quote, and a quote ended it
+    space = cg.FiniteMetricSpace(cg.line_space(3).dist, labels=('a"1', "x", "b\\"))
+    graph, _ = cg.build_geodesic_graph(space, 1.0)
+    lines = graph.to_dot(space).splitlines()
+    assert lines[1:3] == ['  0 [label="a\\"1"];', '  2 [label="b\\\\"];']
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_skeleton_bounds_on_random_instances(seed):

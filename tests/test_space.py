@@ -1,5 +1,6 @@
 import ast
 from collections.abc import Mapping
+import copy
 import dataclasses
 import json
 import math
@@ -1204,3 +1205,51 @@ def test_a_fractional_id_is_refused_not_truncated(build, bad):
         build()
     assert err.value.payload == {"id": bad}
     assert cg.Net([0.0, 3.0], 2.0, 3.0, 1.0).members.tolist() == [0, 3]
+
+
+def test_a_direct_build_records_its_own_check_and_no_triangle_check():
+    space = cg.FiniteMetricSpace(cg.line_space(4).dist)
+    report = space.validation
+    assert (report.worst_asymmetry, report.worst_negative, report.worst_diagonal,
+            report.tolerance, report.worst_triangle_defect) == (0.0, 0.0, 0.0, 0.0, None)
+    assert report.verdict is False
+    assert report.to_dict()["verdict"] == "unchecked"
+    with pytest.raises(TypeError):  # no caller can claim a check that never ran
+        cg.FiniteMetricSpace(space.dist, validation=cg.line_space(4).validation)
+
+
+def test_from_distance_matrix_returns_the_record_its_space_carries():
+    # four points on a line at 0, 1, 3 and 3, each deviation planted within 1e-9
+    table = np.abs(np.subtract.outer([0.0, 1.0, 3.0, 3.0], [0.0, 1.0, 3.0, 3.0]))
+    table[2, 3] = table[3, 2] = -1e-10
+    table[0, 1] = 1.0 + 1e-10
+    table[1, 1] = 5e-10
+    table[0, 2] = table[2, 0] = 3.0 + 4e-10
+    space, report = cg.from_distance_matrix(table)
+    assert report is space.validation
+    assert report.to_dict() == {
+        "worst_asymmetry": 1.000000082740371e-10, "worst_triangle_defect": 4.000000330961484e-10,
+        "worst_negative": 1e-10, "worst_diagonal": 5e-10, "tolerance": 1e-9, "verdict": "pass"}
+
+
+def test_line_space_records_an_exact_triangle_check():
+    space = cg.line_space(5)
+    assert space.validation.worst_triangle_defect == 0.0 and space.validation.verdict
+    assert space.validation == cg.from_distance_matrix(space.dist, tolerance=0.0)[1]
+
+
+@pytest.mark.parametrize("kind", sorted(space_module.METRICS))
+def test_a_point_cloud_records_no_triangle_check(kind):
+    space = cg.from_point_cloud([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]], kind)
+    assert space.validation.worst_triangle_defect is None and not space.validation.verdict
+    assert space.validation == cg.FiniteMetricSpace(space.dist).validation
+
+
+@pytest.mark.parametrize("duplicate", [lambda space: pickle.loads(pickle.dumps(space)),
+                                       copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_a_copy_carries_its_constructors_record(duplicate):
+    space, report = cg.from_distance_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    held = duplicate(space)
+    assert held.dist.tobytes() == space.dist.tobytes() and space.validation is report
+    assert held.validation.worst_triangle_defect is None and held.validation.tolerance == 0.0
