@@ -31,7 +31,7 @@ from .space import (
     exceeds, frozen, hand_over, max_over_rows, threshold_graph)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainMetric(Record):
     """Shortest chain totals at step bound c on its space; inf encodes disconnection."""
 
@@ -134,7 +134,7 @@ def convexity_constants(
     return frontier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicGraph(Record):
     """Unit-edge graph on a c-separated c-net, edges at ambient d <= 3c."""
 

@@ -23,7 +23,7 @@ from .space import (
     frozen, plain, row_blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundedFunction(Record):
     """Complex-valued function on the points of a space; its JSON form
     holds each value as a ``[re, im]`` pair."""
@@ -65,7 +65,7 @@ class BoundedFunction(Record):
                       "sup_norm": self.sup_norm})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionField(Record):
     """Pointwise r-expansion values of some bounded function."""
 
@@ -100,7 +100,9 @@ class DecayProfile(Record):
 
 def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> ExpansionField:
     """Exact r-expansion: max of |f(x) - f(y)| over the closed r-ball of x, reused
-    through ``space.memo`` by r and the :func:`digest` of f's values while a caller holds it."""
+    through ``space.memo`` by r and the :func:`digest` of f's values while a caller holds it.
+    A row block with fewer than half its entries in balls evaluates those pairs alone, any
+    other the whole block under a mask; both give the same floats."""
     r = check_scale(r, "expansion radius r")
     if len(f) != space.n:
         raise ValueError(f"function has {len(f)} values for {space.n} points")
@@ -111,8 +113,15 @@ def expansion(space: FiniteMetricSpace, f: BoundedFunction, r: float) -> Expansi
             vals = vals.real  # plain float differences are much cheaper
         out = np.empty(space.n)
         for rows in row_blocks(space.n):
-            out[rows] = np.abs(vals[rows, None] - vals[None, :]).max(
-                axis=1, where=space.block(rows) <= r, initial=0.0)
+            near = space.block(rows) <= r
+            if 2 * np.count_nonzero(near) < near.size:  # a sparse block: its ball entries only
+                i, j = np.divmod(np.flatnonzero(near), space.n)
+                gaps = np.abs(vals[rows.start + i] - vals[j])
+                # each row holds its own zero entry, so no row is empty and every max >= 0
+                out[rows] = np.maximum.reduceat(gaps, np.searchsorted(i, np.arange(len(near))))
+            else:
+                out[rows] = np.abs(vals[rows, None] - vals[None, :]).max(
+                    axis=1, where=near, initial=0.0)
         return ExpansionField(r=r, values=out)
 
     return space.memo(("expansion", r, digest(f.values)), build)

@@ -142,7 +142,7 @@ def displacement(
     return moved, x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LargeScaleMap(Record):
     """Total map with certified d'(fx, fy) <= lam*d(x, y) + c."""
 
@@ -245,7 +245,7 @@ class DistortionReport(Record):
         object.__setattr__(self, "profile", tuple(map(tuple, self.profile)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetBijection(Record):
     """Bi-Lipschitz bijection between nets: a coarse quasi-isometry (K, C)."""
 

@@ -64,7 +64,7 @@ def _claim_scan(space: FiniteMetricSpace, scan: np.ndarray,
     return claims, claimed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Net(Record):
     """A subset whose points cover the space within K and sit > delta apart.
 
@@ -84,7 +84,7 @@ class Net(Record):
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BorelPartition(Record):
     """Disjoint cells F_x, one per net member, with x in F_x subset B(x, K).
 

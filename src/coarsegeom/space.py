@@ -65,15 +65,34 @@ def plain(value):
     return value
 
 
+def _same(a, b) -> bool:
+    """Whether two field values are equal: an array by shape and value, a mapping key by key."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
 class Record:
     """Mixin for a dataclass record: its JSON form is each field through
     :func:`plain`, and it pickles and copies as a call of its constructor
     on its init fields, so the copy is checked again, holds sealed arrays
     (:func:`frozen`) and carries nothing off the fields, such as a memo; a
-    read-only mapping goes to the constructor as a dict."""
+    read-only mapping goes to the constructor as a dict. A record that holds
+    arrays is declared with ``eq=False`` and takes this ``==``, field by field
+    through :func:`_same`; like the generated one it has no usable hash."""
 
     def to_dict(self) -> dict:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
 
     def __reduce__(self):
         args = (getattr(self, f.name) for f in fields(self) if f.init)
@@ -83,12 +102,15 @@ class Record:
 class _Sealed:
     """The owner of every record array: it lends ``_keep``'s memory through an
     ``__array_interface__`` marked read-only and has no buffer protocol, so numpy
-    refuses ``setflags(write=True)`` on every array over it and every view of one."""
+    refuses ``setflags(write=True)`` on every array over it and every view of one.
+    ``_checked`` says that its builder vouches for the table as :func:`check_table`
+    at tolerance 0 would; only the array directly over the owner is vouched for,
+    since a view of it lies over that array."""
 
-    __slots__ = ("__array_interface__", "_keep")
+    __slots__ = ("__array_interface__", "_keep", "_checked")
 
-    def __init__(self, array: np.ndarray):
-        self._keep = array
+    def __init__(self, array: np.ndarray, checked: bool = False):
+        self._keep, self._checked = array, checked
         interface = array.__array_interface__
         self.__array_interface__ = {**interface, "data": (interface["data"][0], True)}
 
@@ -222,14 +244,15 @@ def check_bounds(
         })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace(Record):
     """A finite pseudo-metric space backed by a full distance table.
 
     Construction refuses a table that is not square, holds a nan, an infinity or a
     negative entry, has a nonzero diagonal or is not exactly symmetric
     (:func:`check_table` at tolerance 0) with a ``ValueError``, so a read may take
-    d(y, x) from row x. Every read of the table is a :meth:`block`.
+    d(y, x) from row x; only the very table :func:`from_point_cloud` seals is vouched for
+    by its builder instead. Every read of the table is a :meth:`block`.
 
     ``validation`` is the :class:`MetricValidationReport` of that check, with no triangle
     check, unless a builder records its own. ``_memo`` holds the results :meth:`memo`
@@ -240,7 +263,10 @@ class FiniteMetricSpace(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "dist", frozen(self.dist, np.float64))
-        negative, diagonal, asymmetry = check_table(self.dist, 0.0)
+        negative = diagonal = asymmetry = 0.0
+        owner = self.dist.base
+        if not (isinstance(owner, _Sealed) and owner._checked):
+            negative, diagonal, asymmetry = check_table(self.dist, 0.0)
         _validated(self, MetricValidationReport(asymmetry, None, negative, diagonal, 0.0))
         object.__setattr__(self, "_memo", weakref.WeakValueDictionary())
         if self.labels is not None and len(self.labels) != self.n:
@@ -448,8 +474,9 @@ def from_point_cloud(
     """Build the space of rows of ``coords`` under a norm-induced metric.
 
     ``coords`` is an n x d array; ``metric_kind`` is one of euclidean,
-    manhattan, chebyshev. The table is symmetric with a zero diagonal by construction,
-    and the space records no triangle check.
+    manhattan, chebyshev. The table is symmetric with a zero diagonal by construction, so
+    after one pass that refuses a distance past the float range the constructor skips its
+    :func:`check_table`, and the space records no triangle check.
     """
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim != 2:
@@ -464,8 +491,12 @@ def from_point_cloud(
         )
     from scipy.spatial.distance import cdist
 
-    # symmetric with zero diagonal: d(x, y) and d(y, x) are the same float operations
-    return FiniteMetricSpace(hand_over(cdist(pts, pts, metric=METRICS[metric_kind])))
+    # symmetric with zero diagonal: d(x, y) and d(y, x) are the same float operations,
+    # and no entry is negative; only an overflow past the float range is left to refuse
+    table = cdist(pts, pts, metric=METRICS[metric_kind])
+    if not math.isfinite(table.max(initial=0.0)):
+        check_table(table, 0.0)
+    return FiniteMetricSpace(np.asarray(_Sealed(table, checked=True)))
 
 
 def line_space(n: int) -> FiniteMetricSpace:

@@ -149,6 +149,12 @@ def case_constructor(rng):
         yield f"FiniteMetricSpace({name})", lambda t=table: cg.FiniteMetricSpace(t)
     yield "FiniteMetricSpace(line3, 2 labels)", lambda: cg.FiniteMetricSpace(_line(3), ("a", "b"))
     yield "FiniteMetricSpace(ragged)", lambda: cg.FiniteMetricSpace(_line(3)[:2])
+    for name, pts in clouds(rng)[-4:]:  # views of a point-cloud table are checked again
+        table = cg.from_point_cloud(pts).dist
+        for view, part in (("[:, ::-1]", table[:, ::-1]), ("[1:, 1:]", table[1:, 1:]),
+                           (".T", table.T), ("[:, :-1]", table[:, :-1])):
+            yield f"FiniteMetricSpace(cloud{name}{view})", lambda t=part: (
+                cg.FiniteMetricSpace(t).validation)
 
 
 def case_from_distance_matrix(rng):
@@ -171,10 +177,15 @@ def case_from_point_cloud(rng):
         for kind in ("euclidean", "manhattan", "chebyshev"):
             yield f"from_point_cloud({name}, {kind})", lambda p=pts, k=kind: (
                 cg.from_point_cloud(p, k).dist)
+            yield f"from_point_cloud({name}, {kind}).validation", lambda p=pts, k=kind: (
+                cg.from_point_cloud(p, k).validation)
     bad = rng.uniform(0.0, 1.0, size=(4, 2))
     bad[2, 1] = float("nan")
     yield "from_point_cloud(nan)", lambda: cg.from_point_cloud(bad)
     yield "from_point_cloud(1-d)", lambda: cg.from_point_cloud([1.0, 2.0])
+    for kind in ("euclidean", "manhattan", "chebyshev"):  # finite coordinates, inf distances
+        yield f"from_point_cloud(overflow, {kind})", lambda k=kind: cg.from_point_cloud(
+            [[0.0, 0.0], [1.0, 1.0], [-1e308, 1e308], [1e308, -1e308]], k)
     yield "from_point_cloud(minkowski)", lambda: cg.from_point_cloud([[1.0]], "minkowski")
 
 
@@ -294,6 +305,116 @@ def case_cli_graph_dot_labels(rng):
             "graph", "--input", quoted, "--c", 1, "--format", f)
 
 
+def _higson_inputs(rng):
+    """(name, space, radii) for the higson cases: the empty and one-point spaces, lines,
+    clouds with duplicate points in every metric and planted tables with ties, some past
+    256 points. The radii are 0, one holding about a tenth of the entries (a sparse block),
+    one holding about three quarters (a dense one), the diameter and one past it."""
+    import numpy as np
+    import coarsegeom as cg
+    spaces = [(f"line{n}", cg.line_space(n)) for n in (0, 1, 2, 9)]
+    kinds = sorted(cg.space.METRICS)
+    spaces += [(f"cloud{name}", cg.from_point_cloud(pts, kinds[k % 3]))
+               for k, (name, pts) in enumerate(clouds(rng))]
+    spaces += [("cloud300x2dup", cg.from_point_cloud(
+        np.repeat(rng.uniform(0.0, 10.0, size=(150, 2)), 2, axis=0)))]
+    from conftest import planted_table
+    spaces += [(f"planted{n}", cg.FiniteMetricSpace(planted_table(rng, n)))
+               for n in (0, 1, 5, 20, 257)]
+    out = []
+    for name, space in spaces:
+        q = space.diameter()
+        low, high = (np.quantile(space.dist, (0.1, 0.75)).tolist() if space.n else (0.5, 1.0))
+        out.append((name, space, [0.0, low, high, q, 2.0 * q + 1.0]))
+    return out
+
+
+def _functions(rng, n):
+    """(kind, function): a real and a complex function on n points."""
+    import coarsegeom as cg
+    re = rng.uniform(-3.0, 3.0, size=n)
+    return [("real", cg.BoundedFunction(re)),
+            ("complex", cg.BoundedFunction(re + 1j * rng.uniform(-3.0, 3.0, size=n)))]
+
+
+def case_expansion(rng):
+    import coarsegeom as cg
+    for name, space, radii in _higson_inputs(rng):
+        for kind, f in _functions(rng, space.n):
+            for r in radii:
+                yield f"expansion({name}, {kind}, {r!r})", lambda s=space, f=f, r=r: (
+                    cg.expansion(s, f, r))
+    line = cg.line_space(4)
+    for r in (-1.0, float("nan"), float("inf")):
+        yield f"expansion(line4, {r!r})", lambda r=r: cg.expansion(
+            line, cg.BoundedFunction([0.0] * 4), r)
+    yield "expansion(line4, 3 values)", lambda: cg.expansion(
+        line, cg.BoundedFunction([0.0] * 3), 1.0)
+
+
+def case_decay_profile(rng):
+    import coarsegeom as cg
+    for name, space, radii in _higson_inputs(rng):
+        base = int(rng.integers(space.n)) if space.n else 0
+        far = float(space.block(base).max()) if space.n else 1.0
+        for kind, f in _functions(rng, space.n):
+            for r in radii:
+                for grid in (None, [0.0, far / 2.0, far], [0.0, far + 1.0]):
+                    yield (f"decay_profile({name}, {kind}, {r!r}, {base}, {grid})",
+                           lambda s=space, f=f, r=r, b=base, g=grid: cg.decay_profile(
+                               s, f, r, b, g))
+            for cached in radii[1], radii[3]:
+                yield (f"decay_profile({name}, {kind}, {radii[1]!r}, field at {cached!r})",
+                       lambda s=space, f=f, r=radii[1], b=base, c=cached: cg.decay_profile(
+                           s, f, r, b, None, cg.expansion(s, f, c)))
+    line, zero = cg.line_space(4), cg.BoundedFunction([0.0] * 4)
+    for grid in ([3.0, 0.0], []):
+        yield f"decay_profile(line4, {grid})", lambda g=grid: cg.decay_profile(
+            line, zero, 1.0, 0, g)
+    yield "decay_profile(line4, base 4)", lambda: cg.decay_profile(line, zero, 1.0, 4)
+
+
+def _higson_cli_inputs(rng):
+    """(name, input options, function files) for the CLI expansion and decay cases."""
+    import numpy as np
+    pts = rng.uniform(0.0, 10.0, size=(30, 2))
+    pts[rng.choice(30, size=8, replace=False)] = pts[3]  # duplicate points
+    re, im = rng.uniform(-3.0, 3.0, size=30), rng.uniform(-3.0, 3.0, size=30)
+    files = [write_csv("real.csv", re[:, None]), write_csv("complex.csv", np.stack([re, im], 1)),
+             write_csv("ids.csv", np.stack([np.arange(30.0), re, im], 1), "point,re,im")]
+    return [("table", ["--input", write_csv("table.csv", _euclidean(pts))], files),
+            ("points", ["--input", write_csv("points.csv", pts, "x,y"), "--points", "--metric",
+                        "manhattan"], files),
+            ("one point", ["--input", write_csv("one.csv", [[0.0]])],
+             [write_csv("one-fn.csv", [[2.0, -1.0]])]),
+            ("short fn", ["--input", "table.csv"], [write_csv("short.csv", re[:5, None])])]
+
+
+def case_cli_expansion(rng):
+    for name, options, files in _higson_cli_inputs(rng):
+        for fn in files:
+            for r in ("0", "1.5", "20"):
+                for fmt in ("json", "csv"):
+                    yield f"expansion {name} {fn} r={r} {fmt}", lambda o=options, f=fn, r=r, t=fmt: (
+                        run_cli("expansion", *o, "--fn", f, "--r", r, "--format", t))
+    yield "expansion r=-1", lambda: run_cli(
+        "expansion", "--input", "table.csv", "--fn", "real.csv", "--r", "-1")
+
+
+def case_cli_decay(rng):
+    for name, options, files in _higson_cli_inputs(rng):
+        for fn in files:
+            for r in ("0", "1.5", "20"):
+                for extra in ([], ["--grid", "0,2,4"], ["--threshold", "0.5"],
+                              ["--grid", "0,100"], ["--format", "csv"]):
+                    yield (f"decay {name} {fn} r={r} {' '.join(extra)}",
+                           lambda o=options, f=fn, r=r, e=extra: run_cli(
+                               "decay", *o, "--fn", f, "--r", r, "--base", 0, *e))
+    for base in ("-1", "30"):
+        yield f"decay base={base}", lambda b=base: run_cli(
+            "decay", "--input", "table.csv", "--fn", "real.csv", "--r", "1", "--base", b)
+
+
 CASES = {
     "FiniteMetricSpace": case_constructor,
     "from_distance_matrix": case_from_distance_matrix,
@@ -305,6 +426,10 @@ CASES = {
     "cli net": case_cli_net,
     "cli graph": case_cli_graph,
     "cli graph dot labels": case_cli_graph_dot_labels,
+    "expansion": case_expansion,
+    "decay_profile": case_decay_profile,
+    "cli expansion": case_cli_expansion,
+    "cli decay": case_cli_decay,
 }
 # each case sees the same inputs on every tree; the table cases share theirs
 SEEDS = {name: zlib.crc32(name.encode()) for name in CASES}

@@ -79,10 +79,11 @@ def test_expansion_walks_the_row_blocks_of_the_patched_block_size(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        n=st.one_of(st.integers(1, 30), st.sampled_from([255, 256, 257])),
-       r=st.sampled_from([0.0, 1.0, 2.5]), complex_valued=st.booleans(),
+       r=st.sampled_from([0.0, 1.0, 2.5, 4.0, 1e9]), complex_valued=st.booleans(),
        block_rows=st.sampled_from([1, 3, 7, 256]))
 def test_expansion_is_the_whole_table_maximum(seed, n, r, complex_valued, block_rows):
-    # a table with ties and duplicate points, read across row blocks of every size
+    # a table with ties and duplicate points, read across row blocks of every size; the
+    # radii put blocks on both sides of the half-block ball count, 1e9 above every entry
     gen = np.random.default_rng(seed)
     space = cg.FiniteMetricSpace(planted_table(gen, n))
     f = random_bounded_function(gen, n, complex_valued)

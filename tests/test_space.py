@@ -1253,3 +1253,47 @@ def test_a_copy_carries_its_constructors_record(duplicate):
     held = duplicate(space)
     assert held.dist.tobytes() == space.dist.tobytes() and space.validation is report
     assert held.validation.worst_triangle_defect is None and held.validation.tolerance == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_every_record()))
+def test_a_record_equals_its_pickle(name):
+    # the generated == compared array fields inside a tuple and raised "the truth value
+    # of an array with more than one element is ambiguous" on two distinct records
+    record = _every_record()[name]
+    held = pickle.loads(pickle.dumps(record))
+    assert held is not record
+    assert (held == record) is True and (held != record) is False
+
+
+def test_records_holding_arrays_compare_arrays_by_shape_and_value():
+    space = cg.from_distance_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])[0]
+    assert space == cg.line_space(3)
+    assert space != cg.line_space(4) and space != cg.FiniteMetricSpace(space.dist, ("a", "b", "c"))
+    part = cg.borel_partition(space, cg.greedy_separated_net(space, 1.0), 1.0)
+    other = cg.borel_partition(space, cg.greedy_separated_net(space, 2.0), 2.0)
+    assert part == pickle.loads(pickle.dumps(part)) and part != other
+    # a record of scalars keeps its generated == and hash
+    report = space.validation
+    assert report == copy.copy(report) and hash(report) == hash(copy.copy(report))
+    assert hash(cg.ConvexityConstants(1.0, 0.0, 1.0)) == hash(cg.ConvexityConstants(1.0, 0.0, 1.0))
+
+
+def test_only_the_point_cloud_table_itself_skips_the_check(monkeypatch):
+    # from_point_cloud vouches for the array it sealed; a view of that array lies over it,
+    # not over its owner, so the mirrored view is refused for its diagonal, and a corner,
+    # a copy and a pickle keep the record the check gives
+    checked = []
+    monkeypatch.setattr(space_module, "check_table",
+                        lambda arr, tol, check=space_module.check_table: (
+                            checked.append(arr.shape), check(arr, tol))[1])
+    pc = cg.from_point_cloud([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
+    assert checked == []
+    with pytest.raises(DiagonalError) as err:
+        cg.FiniteMetricSpace(pc.dist[:, ::-1])
+    assert err.value.payload == {"point": 0, "value": 10.0}
+    record = cg.FiniteMetricSpace(pc.dist.copy()).validation
+    assert pc.validation == record
+    for held in (cg.FiniteMetricSpace(pc.dist[1:, 1:]), copy.copy(pc),
+                 pickle.loads(pickle.dumps(pc))):
+        assert held.validation == record
+    assert checked == [(3, 3), (3, 3), (2, 2), (3, 3)]
